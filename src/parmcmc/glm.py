@@ -5,22 +5,22 @@ The same two reductions,
     L(beta)   = -sum_n [ (1 - y_n) t_n + log(1 + exp(-t_n)) ],  t_n = x_n . beta
     g(beta)   = X' gf,   gf_n = y_n - 1 / (1 + exp(-t_n)),
 
-are offered under interchangeable execution strategies that differ only in
-how work is laid out over workers and caches:
+are offered under interchangeable execution strategies.  A strategy is only
+a block layout, the (x, y) row blocks each worker walks; one evaluator runs
+them all:
 
 * SOM          sequence of maps: a full-length X.beta intermediate is
-               materialized in one parallel region, a second region runs the
-               transcendental reduction over it.
-* MOS          map of sequences: one region; each worker walks its rows one
-               at a time with scalar math (the fully fused, cache-oblivious
-               reference shape).
-* PLF          partial loop fusion: one region; each worker runs the whole
-               map sequence over its contiguous row block with private
-               accumulators.
+               materialized in a region of its own before a second region
+               runs the transcendental reduction over it.
+* MOS          map of sequences: each worker walks its rows one at a time
+               with scalar math (the fully fused, cache-oblivious reference).
+* PLF          partial loop fusion: each worker runs the whole map sequence
+               over its contiguous row block.
 * PLF_CHUNKED  PLF with each worker's block processed in n_chunks
                cache-sized pieces (chunked matvec -> fused transcendental ->
                chunked transposed matvec), still merging once per worker.
-* SHARDED      PLF over per-shard private row-block copies, the portable
+* SHARDED      PLF over per-worker views of a DesignMatrix; a make_sharded()
+               view walks private per-shard copies instead, the portable
                essence of a socket-local data split.
 
 All strategies produce the same values up to floating-point reassociation
@@ -167,7 +167,7 @@ class GradResult:
 
 
 # ---------------------------------------------------------------------------
-# scalar/vector kernels shared by the strategies
+# block kernels, strategy layouts and the evaluator
 # ---------------------------------------------------------------------------
 
 # analytic flops per row (mul/add/div/exp/log each count 1); see instrumentation
@@ -231,28 +231,88 @@ def _chunk_bounds(start: int, stop: int, n_chunks: int) -> list[tuple[int, int]]
     return bounds
 
 
-def _merge_scalar(partials) -> float:
-    """Fold worker partials in ascending worker index (one merge per worker)."""
-    counters.add_merges(len(partials))
-    acc = 0.0
-    for p in partials:
-        acc += p
-    return acc
+def _block_eval(x, y, beta, g, t=None) -> float:
+    """f partial of one row block; adds its gradient partial into g unless None.
+
+    `t` is the block's X.beta when SOM has already materialized it.
+    """
+    if t is None:
+        t = x @ beta
+    if g is not None:
+        g += x.T @ (y - expit(t))
+    return _nll_sum(t, y)
 
 
-def _merge_grad(partials, n_cols: int) -> GradResult:
+def _rows_eval(x, y, beta, g, t=None) -> float:
+    """MOS twin of _block_eval: one row at a time with scalar math (t unused)."""
+    f = 0.0
+    for i in range(x.shape[0]):
+        ti = float(np.dot(x[i], beta))
+        f += _nll_row(ti, y[i])
+        if g is not None:
+            g += (y[i] - _sigmoid_row(ti)) * x[i]
+    return f
+
+
+def _worker_blocks(data, plan: ExecPlan) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Each worker's list of (x, y) row blocks, all views of the data.
+
+    A ShardedMatrix deals its shards round-robin: worker w holds shards w,
+    w + workers, ...  A DesignMatrix gives each worker its static partition
+    block, cut into n_chunks cache-sized pieces under PLF_CHUNKED.  Workers
+    beyond the row count get an empty list.
+    """
+    if isinstance(data, ShardedMatrix):
+        return [[(s.x, s.y) for s in data.shards[w::plan.workers]]
+                for w in range(plan.workers)]
+    n_chunks = plan.n_chunks if plan.strategy is Strategy.PLF_CHUNKED else 1
+    return [[(data.x[a:b], data.y[a:b]) for a, b in _chunk_bounds(start, stop, n_chunks)]
+            for start, stop in parallel.partition(data.n_rows, plan.workers)]
+
+
+def _region_merge(tasks, n_cols: int | None = None) -> tuple[float, np.ndarray | None]:
+    """Run one region of per-worker (f, g) tasks; fold them in ascending worker order.
+
+    One merge per worker.  g stays None when n_cols is None (value only).
+    """
+    partials = parallel.run_region(tasks)
     counters.add_merges(len(partials))
     f = 0.0
-    g = np.zeros(n_cols)
+    g = None if n_cols is None else np.zeros(n_cols)
     for pf, pg in partials:
         f += pf
-        g += pg
-    return GradResult(f, g)
+        if g is not None:
+            g += pg
+    return f, g
 
 
-# ---------------------------------------------------------------------------
-# log-likelihood strategies
-# ---------------------------------------------------------------------------
+def _evaluate(data, beta, plan: ExecPlan, grad: bool) -> tuple[float, np.ndarray | None]:
+    """L(beta), and its gradient if `grad`, over the plan's block layout.
+
+    One region with private per-worker accumulators; SOM first spends a region
+    of its own materializing X.beta.  A ShardedMatrix always evaluates fused,
+    shard by shard, whatever the plan's strategy.
+    """
+    blocks = _worker_blocks(data, plan)
+    strategy = plan.strategy if isinstance(data, DesignMatrix) else Strategy.SHARDED
+    kernel = _rows_eval if strategy is Strategy.MOS else _block_eval
+    ts = [[None] * len(bl) for bl in blocks]
+    if strategy is Strategy.SOM:
+        # sequence of maps: the full X.beta intermediate gets a region of its own
+        ts = parallel.run_region([lambda bl=bl: [x @ beta for x, _ in bl] for bl in blocks])
+
+    def task(bl, bl_ts):
+        def run():
+            g = np.zeros(data.n_cols) if grad else None
+            f = 0.0
+            for (x, y), t in zip(bl, bl_ts):
+                f += kernel(x, y, beta, g, t)
+            return f, g
+        return run
+
+    return _region_merge([task(bl, bl_ts) for bl, bl_ts in zip(blocks, ts)],
+                         data.n_cols if grad else None)
+
 
 def loglike(data, beta, plan: ExecPlan = ExecPlan()) -> float:
     """L(beta) under the plan's strategy; value is strategy-invariant.
@@ -262,196 +322,14 @@ def loglike(data, beta, plan: ExecPlan = ExecPlan()) -> float:
     """
     beta = _check_beta(beta, data.n_cols)
     counters.add_flops(data.n_rows * (2 * data.n_cols + _TR_FLOPS))
-    if isinstance(data, ShardedMatrix):
-        return _loglike_sharded(data, beta, plan)
-    if plan.strategy is Strategy.SOM:
-        return _loglike_som(data, beta, plan)
-    if plan.strategy is Strategy.MOS:
-        return _loglike_mos(data, beta, plan)
-    if plan.strategy is Strategy.SHARDED:
-        view = make_sharded(data, min(plan.workers, data.n_rows))
-        return _loglike_sharded(view, beta, plan)
-    return _loglike_plf(data, beta, plan)  # PLF; PLF_CHUNKED via chunk bounds
+    return _evaluate(data, beta, plan, grad=False)[0]
 
-
-def _loglike_som(data: DesignMatrix, beta, plan) -> float:
-    n = data.n_rows
-    xbeta = np.empty(n)
-    blocks = parallel.partition(n, plan.workers)
-
-    def la_task(a, b):
-        def run():
-            xbeta[a:b] = data.x[a:b] @ beta
-        return run
-
-    parallel.run_region([la_task(a, b) for a, b in blocks])
-
-    def tr_task(a, b):
-        def run():
-            return _nll_sum(xbeta[a:b], data.y[a:b])
-        return run
-
-    partials = parallel.run_region([tr_task(a, b) for a, b in blocks])
-    return _merge_scalar(partials)
-
-
-def _loglike_mos(data: DesignMatrix, beta, plan) -> float:
-    x, y = data.x, data.y
-
-    def task(a, b):
-        def run():
-            acc = 0.0
-            for i in range(a, b):
-                acc += _nll_row(float(np.dot(x[i], beta)), y[i])
-            return acc
-        return run
-
-    blocks = parallel.partition(data.n_rows, plan.workers)
-    partials = parallel.run_region([task(a, b) for a, b in blocks])
-    return _merge_scalar(partials)
-
-
-def _loglike_plf(data: DesignMatrix, beta, plan) -> float:
-    x, y = data.x, data.y
-    chunked = plan.strategy is Strategy.PLF_CHUNKED
-
-    def task(a, b):
-        def run():
-            acc = 0.0
-            pieces = _chunk_bounds(a, b, plan.n_chunks) if chunked else ([(a, b)] if b > a else [])
-            for ca, cb in pieces:
-                acc += _nll_sum(x[ca:cb] @ beta, y[ca:cb])
-            return acc
-        return run
-
-    blocks = parallel.partition(data.n_rows, plan.workers)
-    partials = parallel.run_region([task(a, b) for a, b in blocks])
-    return _merge_scalar(partials)
-
-
-def _loglike_sharded(view: ShardedMatrix, beta, plan) -> float:
-    assign = [view.shards[w::plan.workers] for w in range(plan.workers)]
-
-    def task(shards):
-        def run():
-            acc = 0.0
-            for s in shards:
-                acc += _nll_sum(s.x @ beta, s.y)
-            return acc
-        return run
-
-    partials = parallel.run_region([task(sh) for sh in assign])
-    return _merge_scalar(partials)
-
-
-# ---------------------------------------------------------------------------
-# gradient strategies
-# ---------------------------------------------------------------------------
 
 def loglike_grad(data, beta, plan: ExecPlan = ExecPlan()) -> GradResult:
     """L(beta) and its gradient X' (y - sigmoid(X beta)); strategy-invariant."""
     beta = _check_beta(beta, data.n_cols)
     counters.add_flops(data.n_rows * (4 * data.n_cols + _TR_GRAD_FLOPS))
-    if isinstance(data, ShardedMatrix):
-        return _grad_sharded(data, beta, plan)
-    if plan.strategy is Strategy.SOM:
-        return _grad_som(data, beta, plan)
-    if plan.strategy is Strategy.MOS:
-        return _grad_mos(data, beta, plan)
-    if plan.strategy is Strategy.SHARDED:
-        view = make_sharded(data, min(plan.workers, data.n_rows))
-        return _grad_sharded(view, beta, plan)
-    return _grad_plf(data, beta, plan)
-
-
-def _block_fg(x, y, beta) -> tuple[float, np.ndarray]:
-    """Fused f partial and gradient partial for one contiguous row block."""
-    t = x @ beta
-    f = _nll_sum(t, y)
-    gf = y - expit(t)
-    return f, x.T @ gf
-
-
-def _grad_som(data: DesignMatrix, beta, plan) -> GradResult:
-    n = data.n_rows
-    xbeta = np.empty(n)
-    blocks = parallel.partition(n, plan.workers)
-
-    def la_task(a, b):
-        def run():
-            xbeta[a:b] = data.x[a:b] @ beta
-        return run
-
-    parallel.run_region([la_task(a, b) for a, b in blocks])
-
-    def tr_task(a, b):
-        def run():
-            t = xbeta[a:b]
-            f = _nll_sum(t, data.y[a:b])
-            gf = data.y[a:b] - expit(t)
-            return f, data.x[a:b].T @ gf
-        return run
-
-    partials = parallel.run_region([tr_task(a, b) for a, b in blocks])
-    return _merge_grad(partials, data.n_cols)
-
-
-def _grad_mos(data: DesignMatrix, beta, plan) -> GradResult:
-    x, y = data.x, data.y
-
-    def task(a, b):
-        def run():
-            f = 0.0
-            g = np.zeros(data.n_cols)
-            for i in range(a, b):
-                t = float(np.dot(x[i], beta))
-                f += _nll_row(t, y[i])
-                g += (y[i] - _sigmoid_row(t)) * x[i]
-            return f, g
-        return run
-
-    blocks = parallel.partition(data.n_rows, plan.workers)
-    partials = parallel.run_region([task(a, b) for a, b in blocks])
-    return _merge_grad(partials, data.n_cols)
-
-
-def _grad_plf(data: DesignMatrix, beta, plan) -> GradResult:
-    x, y = data.x, data.y
-    chunked = plan.strategy is Strategy.PLF_CHUNKED
-
-    def task(a, b):
-        def run():
-            f = 0.0
-            g = np.zeros(data.n_cols)
-            pieces = _chunk_bounds(a, b, plan.n_chunks) if chunked else ([(a, b)] if b > a else [])
-            for ca, cb in pieces:
-                pf, pg = _block_fg(x[ca:cb], y[ca:cb], beta)
-                f += pf
-                g += pg
-            return f, g
-        return run
-
-    blocks = parallel.partition(data.n_rows, plan.workers)
-    partials = parallel.run_region([task(a, b) for a, b in blocks])
-    return _merge_grad(partials, data.n_cols)
-
-
-def _grad_sharded(view: ShardedMatrix, beta, plan) -> GradResult:
-    assign = [view.shards[w::plan.workers] for w in range(plan.workers)]
-
-    def task(shards):
-        def run():
-            f = 0.0
-            g = np.zeros(view.n_cols)
-            for s in shards:
-                pf, pg = _block_fg(s.x, s.y, beta)
-                f += pf
-                g += pg
-            return f, g
-        return run
-
-    partials = parallel.run_region([task(sh) for sh in assign])
-    return _merge_grad(partials, view.n_cols)
+    return GradResult(*_evaluate(data, beta, plan, grad=True))
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +344,11 @@ class GlmWorkspace:
     element whenever no commit is in flight; `validate` checks it.
     """
 
-    def __init__(self, data: DesignMatrix, beta0, build_transpose: bool = True):
+    def __init__(self, data: DesignMatrix, beta0):
         beta0 = _check_beta(beta0, data.n_cols)
         self.beta_current = beta0.copy()
         self.xbeta = data.x @ beta0
-        self.xt = np.ascontiguousarray(data.x.T) if build_transpose else None
+        self.xt = np.ascontiguousarray(data.x.T)
         self._shape = (data.n_rows, data.n_cols)
 
     @property
@@ -490,8 +368,6 @@ class GlmWorkspace:
 
 
 def _check_coord(ws: GlmWorkspace, k: int) -> None:
-    if ws.xt is None:
-        raise ValueError("workspace has no transposed copy; build with build_transpose=True")
     if not 0 <= k < ws.n_cols:
         raise IndexError(f"coordinate {k} out of range [0, {ws.n_cols})")
 
@@ -514,12 +390,11 @@ def diff_loglike(ws: GlmWorkspace, data: DesignMatrix, k: int, delta_beta_k: flo
 
     def task(a, b):
         def run():
-            return _nll_sum(ws.xbeta[a:b] + delta_beta_k * xk[a:b], y[a:b])
+            return _nll_sum(ws.xbeta[a:b] + delta_beta_k * xk[a:b], y[a:b]), None
         return run
 
     blocks = parallel.partition(ws.n_rows, plan.workers)
-    partials = parallel.run_region([task(a, b) for a, b in blocks])
-    return _merge_scalar(partials)
+    return _region_merge([task(a, b) for a, b in blocks])[0]
 
 
 def commit_update(ws: GlmWorkspace, k: int, delta_beta_k: float,

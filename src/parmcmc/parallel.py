@@ -56,18 +56,29 @@ def _pool(size: int) -> ThreadPoolExecutor:
 
 
 def _run_wrapped(task: Callable[[], T]) -> T:
+    # restore rather than clear: a nested region that runs inline on a worker
+    # must leave the worker marked, or the next nested region would submit to
+    # the saturated pool and wait on itself
+    outer = getattr(_tls, "inside_region", False)
     _tls.inside_region = True
     try:
         return task()
     finally:
-        _tls.inside_region = False
+        _tls.inside_region = outer
 
 
 def run_region(tasks: Sequence[Callable[[], T]]) -> list[T]:
-    """Execute one parallel region; results are returned in task order."""
+    """Execute one parallel region; results are returned in task order.
+
+    The region closes only when every task has finished.  If tasks raise,
+    the first exception in task order propagates after that, so no task of
+    a failed region is still running when the caller sees the error.
+    """
     counters.add_region()
     if len(tasks) == 1 or getattr(_tls, "inside_region", False):
         return [_run_wrapped(t) for t in tasks]
     pool = _pool(len(tasks))
     futures = [pool.submit(_run_wrapped, t) for t in tasks]
+    for f in futures:
+        f.exception()  # blocks until done without raising, so every task finishes
     return [f.result() for f in futures]

@@ -1,0 +1,50 @@
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+
+import pytest
+
+from parmcmc import parallel
+
+# an outer 2-task region whose tasks each open two 2-task regions
+NESTED_REGIONS = textwrap.dedent("""
+    from parmcmc.parallel import run_region
+
+    def outer():
+        return [run_region([lambda: 1, lambda: 2]), run_region([lambda: 3, lambda: 4])]
+
+    print(run_region([outer, outer]))
+""")
+
+
+def test_nested_regions_do_not_deadlock():
+    # a hung region leaves a non-daemon pool thread behind, which would keep
+    # the test process from exiting, so the nesting runs in a child process
+    src = os.path.dirname(os.path.dirname(os.path.abspath(parallel.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NESTED_REGIONS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[[[1, 2], [3, 4]], [[1, 2], [3, 4]]]"
+
+
+def test_failed_region_waits_for_every_task():
+    finished = threading.Event()
+
+    def fail(msg):
+        def run():
+            raise RuntimeError(msg)
+        return run
+
+    def slow():
+        time.sleep(0.3)
+        finished.set()
+
+    with pytest.raises(RuntimeError, match="first"):
+        parallel.run_region([fail("first"), slow, fail("second")])
+    # the error reaches the caller only once the slow sibling is done
+    assert finished.is_set()
