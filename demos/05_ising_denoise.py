@@ -1,16 +1,11 @@
 """Binary image denoising with the checkerboard Ising Gibbs sampler.
 
 The noisy image seeds both the spins and the bias field; the coupling
-pulls neighbors into agreement.  The differential sweep tracks how few
-pixels actually flip once the chain settles, which is exactly why the
-incremental z-cache pays off.
+pulls neighbors into agreement.  The per-sweep flip fraction shows how few
+pixels still change once the chain settles.
 """
 
-import numpy as np
-
-from parmcmc import (IsingLattice, ZCache, color_lattice, denoise, flip_noise,
-                     gibbs_sweep_diff, synthetic_binary_image, write_pbm)
-from parmcmc.rng import BufferKind, DeviateBuffer
+from parmcmc import denoise, flip_noise, synthetic_binary_image, write_pbm
 
 img = synthetic_binary_image(128, 128)
 noisy = flip_noise(img, 0.10, seed=5)
@@ -27,16 +22,3 @@ print("flip fraction by sweep:",
 write_pbm("denoise_noisy.pbm", noisy)
 write_pbm("denoise_restored.pbm", restored)
 print("wrote denoise_noisy.pbm / denoise_restored.pbm")
-
-# the differential sweep reproduces the plain sweep exactly while counting flips
-lat = IsingLattice.from_image(noisy, w=1.0, bias_scale=2.0)
-part = color_lattice(lat)
-cache = ZCache(lat, part)
-buf = DeviateBuffer(BufferKind.UNIFORM01, seed=6)
-rates = []
-for _ in range(25):
-    gibbs_sweep_diff(lat, part, cache, buf)
-    rates.append(cache.flip_rate)
-cache.validate(lat, part)
-print(f"\ndiff sweeps: settled flip rate ~{np.mean(rates[10:]):.1%} of nodes "
-      f"(z-cache exact after {len(rates)} sweeps)")

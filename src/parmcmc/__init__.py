@@ -20,9 +20,9 @@ from .glm import (DesignMatrix, ExecPlan, GlmWorkspace, GradResult, ShardedMatri
                   loglike_grad, make_sharded, synthetic_logistic)
 from .hb import (HbDataset, HbState, MappingMode, MappingPolicy, hb_benchmark,
                  hb_sweep, synthetic_hb_dataset)
-from .ising import (ColorPartition, IsingLattice, ZCache, color_lattice,
-                    conditional_prob, denoise, flip_noise, gibbs_sweep,
-                    gibbs_sweep_diff, read_pbm, synthetic_binary_image, write_pbm)
+from .ising import (ColorPartition, IsingLattice, color_lattice, conditional_prob,
+                    denoise, flip_noise, gibbs_sweep, read_pbm,
+                    synthetic_binary_image, write_pbm)
 from .perf import (BenchRecord, GridConfig, HardwareDescriptor, REFERENCE_MACHINE,
                    compute_min_cpr, memory_min_cpr, run_grid)
 from .rng import (BufferKind, DeviateBuffer, GammaParams, OneAtATimeNormal,

@@ -89,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--sweeps", type=int, default=30)
     i.add_argument("--burnin", type=int, default=10)
     i.add_argument("--seed", type=int, default=0)
-    i.add_argument("--diff-update", action="store_true")
     i.add_argument("--trace", help="optional per-sweep flip-rate CSV")
     i.add_argument("--fmt", choices=("P1", "P4"), default="P4", help="output format")
     i.set_defaults(func=cmd_ising_denoise)
@@ -173,8 +172,7 @@ def cmd_ising_denoise(args) -> int:
     noisy = ising.read_pbm(args.infile)
     trace: list[float] | None = [] if args.trace else None
     restored = ising.denoise(noisy, w=args.w, bias_scale=args.bias, sweeps=args.sweeps,
-                             burnin=args.burnin, seed=args.seed,
-                             use_diff=args.diff_update, trace_out=trace)
+                             burnin=args.burnin, seed=args.seed, trace_out=trace)
     ising.write_pbm(args.out, restored, fmt=args.fmt)
     if args.trace:
         with open(args.trace, "w") as fh:

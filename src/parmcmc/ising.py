@@ -2,11 +2,13 @@
 
 Nodes at (i+j) even and odd form a 2-coloring of the 4-neighbor lattice:
 all same-color nodes are conditionally independent given the other color,
-so a Gibbs sweep is two data-parallel half-updates.  Each color's spins,
-biases and neighbor lists are packed into contiguous arrays (neighbor
-indices point into the *other* color's packed array, with one padding
-slot holding spin 0 standing in for missing boundary neighbors), which
-turns the half-update into branch-free vector arithmetic.
+so a Gibbs sweep is two data-parallel half-updates.  Each color's spins
+and biases are packed into contiguous arrays, and its neighbor table is a
+(4, n) index array, one contiguous row per direction, pointing into the
+*other* color's packed spins (one padding slot holding spin 0 stands in
+for missing boundary neighbors).  A color's neighbor sums are then four
+contiguous gathers added into one output, which turns the half-update
+into branch-free vector arithmetic.
 
 Sampling convention: a node flips to +1 with probability
 
@@ -19,11 +21,6 @@ which `IsingLattice.log_weight` exposes for exact small-lattice checks.
 Uniform deviates are pre-assigned to nodes by packed index *before* a
 color updates, so the intra-color update order is immaterial and the
 trajectory is a pure function of the stream.
-
-The differential path (`ZCache` / `gibbs_sweep_diff`) maintains each
-node's integer neighbor-spin sum and adjusts it per flip instead of
-re-gathering, reproducing the plain sweep bit for bit: neighbor sums are
-small exact integers, so the incrementally maintained z never drifts.
 """
 
 from __future__ import annotations
@@ -36,8 +33,8 @@ from .glm import ExecPlan
 from .rng import BufferKind, DeviateBuffer
 
 __all__ = [
-    "IsingLattice", "ColorPartition", "ZCache", "conditional_prob",
-    "color_lattice", "gibbs_sweep", "gibbs_sweep_diff", "denoise",
+    "IsingLattice", "ColorPartition", "conditional_prob",
+    "color_lattice", "gibbs_sweep", "denoise",
     "read_pbm", "write_pbm", "synthetic_binary_image", "flip_noise",
 ]
 
@@ -102,9 +99,12 @@ class ColorPartition:
     """Checkerboard split with per-color packed arrays.
 
     colors[c] are the flat (row-major) node indices of color c in scan
-    order, which is also the packed order.  packed_nbr[c] has one row of 4
-    indices per node, pointing into color 1-c's *padded* spin array whose
-    final slot is a permanent 0 (the boundary sentinel).
+    order, which is also the packed order.  packed_nbr[c] is a contiguous
+    (4, n_c) array: row d holds, for every node of color c, the index of
+    its neighbor in direction d (up, down, left, right) within color 1-c's
+    *padded* spin array, whose final slot is a permanent 0 (the boundary
+    sentinel).  Each direction's row is contiguous so that neighbor_spin_sum
+    gathers it with one sequential take.
     """
 
     def __init__(self, lat: IsingLattice):
@@ -122,13 +122,13 @@ class ColorPartition:
         self.packed_nbr = []
         for c in (0, 1):
             sentinel = self.colors[1 - c].size
-            cols = []
+            rows = []
             for di, dj in _NEIGHBOR_STEPS:
                 ni, nj = ii + di, jj + dj
                 valid = ((0 <= ni) & (ni < h) & (0 <= nj) & (nj < w)).ravel()[self.colors[c]]
                 nf = (np.clip(ni, 0, h - 1) * w + np.clip(nj, 0, w - 1)).ravel()[self.colors[c]]
-                cols.append(np.where(valid, pos[nf], sentinel))
-            self.packed_nbr.append(np.ascontiguousarray(np.stack(cols, axis=1)))
+                rows.append(np.where(valid, pos[nf], sentinel))
+            self.packed_nbr.append(np.stack(rows, axis=0))
         self.pack_from(lat)
 
     @property
@@ -146,8 +146,16 @@ class ColorPartition:
             flat[self.colors[c]] = self._s_padded[c][:-1]
 
     def neighbor_spin_sum(self, c: int) -> np.ndarray:
-        """Exact integer-valued neighbor sums for color c (fresh gather)."""
-        return self._s_padded[1 - c][self.packed_nbr[c]].sum(axis=1)
+        """Exact integer-valued neighbor sums for color c (fresh gather).
+
+        Sums of at most four +-1/0 values are exact in float64, so the
+        order of the adds cannot change the result.
+        """
+        s, nbr = self._s_padded[1 - c], self.packed_nbr[c]
+        out = s.take(nbr[0])
+        for d in (1, 2, 3):
+            out += s.take(nbr[d])
+        return out
 
 
 def color_lattice(lat: IsingLattice) -> ColorPartition:
@@ -155,7 +163,7 @@ def color_lattice(lat: IsingLattice) -> ColorPartition:
     return ColorPartition(lat)
 
 
-def _half_update(lat, part, c: int, z: np.ndarray, u: np.ndarray,
+def _half_update(part: ColorPartition, c: int, z: np.ndarray, u: np.ndarray,
                  plan: ExecPlan | None) -> None:
     """Threshold pre-assigned deviates against conditional_prob(z) for color c."""
     s_c = part.packed_s[c]
@@ -183,80 +191,13 @@ def gibbs_sweep(lat: IsingLattice, part: ColorPartition, rng_buffer: DeviateBuff
     for c in (0, 1):
         z = part.packed_b[c] + lat.w * part.neighbor_spin_sum(c)
         u = rng_buffer.take(z.size)
-        _half_update(lat, part, c, z, u, plan)
-    part.unpack_into(lat)
-
-
-class ZCache:
-    """Maintained neighbor-spin sums (and hence z) for the differential path.
-
-    Sums are exact small integers kept in float64, updated by +-2 per
-    adjacent flip, so the derived z = b + w*nsum is bit-identical to a
-    fresh gather.  Only sweeps made through gibbs_sweep_diff keep the
-    cache in sync.
-    """
-
-    def __init__(self, lat: IsingLattice, part: ColorPartition):
-        # one padding slot per color absorbs sentinel-indexed updates
-        self._nsum_padded = [np.zeros(part.colors[c].size + 1) for c in (0, 1)]
-        for c in (0, 1):
-            self._nsum_padded[c][:-1] = part.neighbor_spin_sum(c)
-        self.flips_last_sweep = 0
-        self.n_nodes = part.colors[0].size + part.colors[1].size
-
-    def nsum(self, c: int) -> np.ndarray:
-        return self._nsum_padded[c][:-1]
-
-    def z_grid(self, lat: IsingLattice, part: ColorPartition) -> np.ndarray:
-        """Assembled z field, z_i = b_i + w * (neighbor spin sum)."""
-        out = np.empty(lat.height * lat.width)
-        for c in (0, 1):
-            out[part.colors[c]] = part.packed_b[c] + lat.w * self.nsum(c)
-        return out.reshape(lat.height, lat.width)
-
-    @property
-    def flip_rate(self) -> float:
-        return self.flips_last_sweep / self.n_nodes
-
-    def validate(self, lat: IsingLattice, part: ColorPartition, tol: float = 1e-10) -> float:
-        """Max |cached z - freshly gathered z|; raises above tol."""
-        err = 0.0
-        for c in (0, 1):
-            fresh = part.neighbor_spin_sum(c)
-            err = max(err, float(np.max(np.abs(lat.w * (self.nsum(c) - fresh)), initial=0.0)))
-        if err > tol:
-            raise AssertionError(f"z cache desynchronized: max error {err:g} > {tol:g}")
-        return err
-
-
-def gibbs_sweep_diff(lat: IsingLattice, part: ColorPartition, zcache: ZCache,
-                     rng_buffer: DeviateBuffer, plan: ExecPlan | None = None) -> None:
-    """Gibbs sweep that updates neighbor sums incrementally per spin flip.
-
-    Sampling distribution and, given identical node-to-deviate assignments,
-    the exact trajectory match gibbs_sweep.  Cache updates run in the
-    scalar, per-flip path on the sweeping thread only.
-    """
-    flips = 0
-    for c in (0, 1):
-        z = part.packed_b[c] + lat.w * zcache.nsum(c)
-        u = rng_buffer.take(z.size)
-        s_c = part.packed_s[c]
-        old = s_c.copy()
-        _half_update(lat, part, c, z, u, plan)
-        flipped = np.flatnonzero(s_c != old)
-        if flipped.size:
-            deltas = 2.0 * s_c[flipped]              # s_new - s_old
-            nbrs = part.packed_nbr[c][flipped]       # rows of 4 indices, padded target
-            np.add.at(zcache._nsum_padded[1 - c], nbrs.ravel(), np.repeat(deltas, 4))
-            flips += flipped.size
-    zcache.flips_last_sweep = flips
+        _half_update(part, c, z, u, plan)
     part.unpack_into(lat)
 
 
 def denoise(noisy_image, w: float = 1.0, bias_scale: float = 2.0, sweeps: int = 30,
-            burnin: int = 10, seed: int = 0, use_diff: bool = False,
-            plan: ExecPlan | None = None, trace_out: list | None = None) -> np.ndarray:
+            burnin: int = 10, seed: int = 0, plan: ExecPlan | None = None,
+            trace_out: list | None = None) -> np.ndarray:
     """Restore a {0,1} image: posterior mean spin sign under the Ising smoother.
 
     The bias field anchors each pixel to its observed value while the
@@ -270,16 +211,12 @@ def denoise(noisy_image, w: float = 1.0, bias_scale: float = 2.0, sweeps: int = 
     if sweeps < 0 or burnin < 0:
         raise ValueError("sweeps and burnin must be >= 0")
     part = color_lattice(lat)
-    zcache = ZCache(lat, part) if use_diff else None
     buf = DeviateBuffer(BufferKind.UNIFORM01, seed=seed)
     acc = np.zeros(lat.s.shape)
     kept = 0
     for t in range(sweeps):
         before = lat.s.copy() if trace_out is not None else None
-        if use_diff:
-            gibbs_sweep_diff(lat, part, zcache, buf, plan)
-        else:
-            gibbs_sweep(lat, part, buf, plan)
+        gibbs_sweep(lat, part, buf, plan)
         if trace_out is not None:
             trace_out.append(float(np.count_nonzero(lat.s != before)) / lat.s.size)
         if t >= burnin:

@@ -175,8 +175,7 @@ def test_ising_denoise_deterministic(tmp_path):
     for name in ("r1.pbm", "r2.pbm"):
         out = tmp_path / name
         assert cli.main(["ising-denoise", "--in", str(path), "--out", str(out),
-                         "--sweeps", "15", "--burnin", "5", "--seed", "21",
-                         "--diff-update"]) == 0
+                         "--sweeps", "15", "--burnin", "5", "--seed", "21"]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from parmcmc.glm import ExecPlan
-from parmcmc.ising import (IsingLattice, ZCache, color_lattice,
-                           conditional_prob, denoise, flip_noise, gibbs_sweep,
-                           gibbs_sweep_diff, read_pbm, synthetic_binary_image,
-                           write_pbm)
+from parmcmc.ising import (IsingLattice, color_lattice, conditional_prob,
+                           denoise, flip_noise, gibbs_sweep, read_pbm,
+                           synthetic_binary_image, write_pbm)
 from parmcmc.rng import BufferKind, DeviateBuffer
 
 from naive import (enumerate_boltzmann, exact_conditional_from_joint,
@@ -91,14 +90,19 @@ def test_pack_unpack_round_trip(shape):
     np.testing.assert_array_equal(lat.s, original)
 
 
-def test_neighbor_sums_match_naive():
-    lat = random_lattice(5, 6, seed=12)
+# single-row, single-column and odd lattices put the boundary sentinel in
+# every direction's row of the neighbor table
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (7, 1), (5, 6), (6, 5)])
+def test_neighbor_sums_match_naive(shape):
+    h, w = shape
+    lat = random_lattice(h, w, seed=12)
     part = color_lattice(lat)
     for c in (0, 1):
         sums = part.neighbor_spin_sum(c)
+        assert sums.shape == (part.colors[c].size,)
         for pk, flat in enumerate(part.colors[c]):
-            i, j = divmod(int(flat), 6)
-            expected = naive_z(lat.s, np.zeros((5, 6)), 1.0, i, j)
+            i, j = divmod(int(flat), w)
+            expected = naive_z(lat.s, np.zeros((h, w)), 1.0, i, j)
             assert sums[pk] == expected
 
 
@@ -108,7 +112,11 @@ def test_neighbor_sums_match_naive():
 
 def _deviate_map(lat, part, seed):
     """Capture the sweep's node -> deviate assignment from a fresh buffer."""
-    buf = DeviateBuffer(BufferKind.UNIFORM01, seed=seed)
+    return _take_deviate_map(lat, part, DeviateBuffer(BufferKind.UNIFORM01, seed=seed))
+
+
+def _take_deviate_map(lat, part, buf):
+    """Node -> deviate assignment of the next sweep that draws from buf."""
     u = buf.take(lat.s.size)
     mapping = {}
     pos = 0
@@ -135,6 +143,21 @@ def test_sweep_matches_naive_in_any_intra_color_order(seed):
     buf = DeviateBuffer(BufferKind.UNIFORM01, seed=100 + seed)
     gibbs_sweep(lat, part, buf)
     np.testing.assert_array_equal(lat.s, expected)
+
+
+def test_many_sweeps_match_naive_oracle():
+    # every sweep of a long trajectory on an odd-shaped lattice with
+    # non-integer bias and coupling reproduces the scalar oracle exactly
+    lat = random_lattice(7, 9, coupling=0.8, seed=17)
+    part = color_lattice(lat)
+    expected = lat.s.copy()
+    buf = DeviateBuffer(BufferKind.UNIFORM01, seed=23)
+    oracle_buf = DeviateBuffer(BufferKind.UNIFORM01, seed=23)
+    for _ in range(40):
+        gibbs_sweep(lat, part, buf)
+        mapping = _take_deviate_map(lat, part, oracle_buf)
+        expected = naive_sweep(expected, lat.b, lat.w, mapping)
+        np.testing.assert_array_equal(lat.s, expected)
 
 
 def test_sweep_worker_split_is_exact():
@@ -200,60 +223,6 @@ def test_small_lattice_total_variation():
 
 
 # ---------------------------------------------------------------------------
-# differential sweep
-# ---------------------------------------------------------------------------
-
-def test_diff_sweep_matches_plain_sweep_exactly():
-    img = flip_noise(synthetic_binary_image(20, 24), 0.15, seed=2)
-    latA = IsingLattice.from_image(img, 1.0, 1.5)
-    latB = IsingLattice.from_image(img, 1.0, 1.5)
-    pA, pB = color_lattice(latA), color_lattice(latB)
-    zc = ZCache(latB, pB)
-    bufA = DeviateBuffer(BufferKind.UNIFORM01, seed=9)
-    bufB = DeviateBuffer(BufferKind.UNIFORM01, seed=9)
-    for _ in range(60):
-        gibbs_sweep(latA, pA, bufA)
-        gibbs_sweep_diff(latB, pB, zc, bufB)
-        np.testing.assert_array_equal(latA.s, latB.s)
-    zc.validate(latB, pB)
-
-
-def test_diff_sweep_zero_flips_leaves_cache_untouched():
-    # overwhelming aligned bias: no spin ever flips
-    s = np.ones((6, 6), dtype=np.int8)
-    lat = IsingLattice(s, 50.0 * np.ones((6, 6)), 0.0)
-    part = color_lattice(lat)
-    zc = ZCache(lat, part)
-    before = [zc.nsum(c).copy() for c in (0, 1)]
-    buf = DeviateBuffer(BufferKind.UNIFORM01, seed=3)
-    gibbs_sweep_diff(lat, part, zc, buf)
-    assert zc.flips_last_sweep == 0 and zc.flip_rate == 0.0
-    for c in (0, 1):
-        np.testing.assert_array_equal(zc.nsum(c), before[c])
-
-
-def test_zcache_z_grid_and_validation():
-    lat = random_lattice(5, 4, seed=6)
-    part = color_lattice(lat)
-    zc = ZCache(lat, part)
-    z = zc.z_grid(lat, part)
-    for i in range(5):
-        for j in range(4):
-            assert z[i, j] == pytest.approx(naive_z(lat.s, lat.b, lat.w, i, j), abs=1e-12)
-    assert zc.validate(lat, part) == 0.0
-
-
-def test_flip_counter_counts_actual_flips():
-    lat = random_lattice(10, 10, coupling=0.3, seed=14)
-    part = color_lattice(lat)
-    zc = ZCache(lat, part)
-    buf = DeviateBuffer(BufferKind.UNIFORM01, seed=15)
-    before = lat.s.copy()
-    gibbs_sweep_diff(lat, part, zc, buf)
-    assert zc.flips_last_sweep == int(np.count_nonzero(lat.s != before))
-
-
-# ---------------------------------------------------------------------------
 # denoising pipeline
 # ---------------------------------------------------------------------------
 
@@ -275,13 +244,6 @@ def test_denoise_reduces_error_on_two_region_image():
     assert len(trace) == 30
     # flip rate settles well below a quarter of the nodes per sweep
     assert max(trace[10:]) < 0.25
-
-
-def test_denoise_diff_path_matches_plain():
-    noisy = flip_noise(synthetic_binary_image(32, 32), 0.1, seed=5)
-    a = denoise(noisy, sweeps=20, burnin=5, seed=6, use_diff=False)
-    b = denoise(noisy, sweeps=20, burnin=5, seed=6, use_diff=True)
-    np.testing.assert_array_equal(a, b)
 
 
 def test_denoise_all_ones_easy_instance():
