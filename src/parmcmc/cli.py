@@ -63,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--max-steps", type=int, default=50)
     g.add_argument("--prior-sigma", type=float, default=10.0)
     g.add_argument("--workers", type=int, default=1)
-    g.add_argument("--strategy", choices=[s.value for s in glm.Strategy], default="plf")
-    g.add_argument("--diff-update", action=argparse.BooleanOptionalAction, default=True)
     g.add_argument("--out", default="draws.csv")
     g.set_defaults(func=cmd_glm_sample)
 
@@ -143,8 +141,7 @@ def cmd_glm_sample(args) -> int:
     prior = sampler.GaussianPrior.isotropic(data.n_cols, sigma=args.prior_sigma)
     cfg = sampler.ChainConfig(n_iter=args.iters, n_burnin=args.burnin, seed=args.seed,
                               slice_width=args.width, slice_max_steps=args.max_steps)
-    plan = glm.ExecPlan(glm.Strategy(args.strategy), workers=args.workers)
-    out = sampler.run_chain(data, prior, cfg, plan, use_diff_update=args.diff_update)
+    out = sampler.run_chain(data, prior, cfg, glm.ExecPlan(workers=args.workers))
     sampler.write_draws_csv(out, args.out)
     means = " ".join(f"{m:.6g}" for m in out.draws.mean(axis=0))
     print(f"posterior_mean: {means}")

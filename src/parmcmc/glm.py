@@ -397,13 +397,12 @@ def diff_loglike(ws: GlmWorkspace, data: DesignMatrix, k: int, delta_beta_k: flo
     return _region_merge([task(a, b) for a, b in blocks])[0]
 
 
-def commit_update(ws: GlmWorkspace, k: int, delta_beta_k: float,
-                  plan: ExecPlan = ExecPlan()) -> None:
+def commit_update(ws: GlmWorkspace, k: int, delta_beta_k: float) -> None:
     """Materialize a coordinate move: xbeta += delta * X_k, beta_k += delta.
 
     Exclusive access assumed; restores the quiescence invariant on return.
-    The O(N) axpy is memory-bound, so it runs unpartitioned regardless of
-    plan.workers.
+    The O(N) axpy is memory-bound, so it runs unpartitioned on the calling
+    thread.
     """
     _check_coord(ws, k)
     if not math.isfinite(delta_beta_k):

@@ -7,8 +7,8 @@ and biases are packed into contiguous arrays, and its neighbor table is a
 (4, n) index array, one contiguous row per direction, pointing into the
 *other* color's packed spins (one padding slot holding spin 0 stands in
 for missing boundary neighbors).  A color's neighbor sums are then four
-contiguous gathers added into one output, which turns the half-update
-into branch-free vector arithmetic.
+contiguous gathers added into one output, and the half-update is one
+branch-free vector expression (a worker split of it measured no gain).
 
 Sampling convention: a node flips to +1 with probability
 
@@ -28,8 +28,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from . import parallel
-from .glm import ExecPlan
 from .rng import BufferKind, DeviateBuffer
 
 __all__ = [
@@ -163,25 +161,7 @@ def color_lattice(lat: IsingLattice) -> ColorPartition:
     return ColorPartition(lat)
 
 
-def _half_update(part: ColorPartition, c: int, z: np.ndarray, u: np.ndarray,
-                 plan: ExecPlan | None) -> None:
-    """Threshold pre-assigned deviates against conditional_prob(z) for color c."""
-    s_c = part.packed_s[c]
-    if plan is not None and plan.workers > 1:
-        blocks = parallel.partition(z.size, plan.workers)
-
-        def task(a, b):
-            def run():
-                s_c[a:b] = np.where(u[a:b] < conditional_prob(z[a:b]), 1.0, -1.0)
-            return run
-
-        parallel.run_region([task(a, b) for a, b in blocks])
-    else:
-        s_c[:] = np.where(u < conditional_prob(z), 1.0, -1.0)
-
-
-def gibbs_sweep(lat: IsingLattice, part: ColorPartition, rng_buffer: DeviateBuffer,
-                plan: ExecPlan | None = None) -> None:
+def gibbs_sweep(lat: IsingLattice, part: ColorPartition, rng_buffer: DeviateBuffer) -> None:
     """One full Gibbs sweep: update color 0 against frozen color 1, then color 1.
 
     Node i becomes +1 iff u_i < conditional_prob(z_i), with u_i assigned by
@@ -191,13 +171,12 @@ def gibbs_sweep(lat: IsingLattice, part: ColorPartition, rng_buffer: DeviateBuff
     for c in (0, 1):
         z = part.packed_b[c] + lat.w * part.neighbor_spin_sum(c)
         u = rng_buffer.take(z.size)
-        _half_update(part, c, z, u, plan)
+        part.packed_s[c][:] = np.where(u < conditional_prob(z), 1.0, -1.0)
     part.unpack_into(lat)
 
 
 def denoise(noisy_image, w: float = 1.0, bias_scale: float = 2.0, sweeps: int = 30,
-            burnin: int = 10, seed: int = 0, plan: ExecPlan | None = None,
-            trace_out: list | None = None) -> np.ndarray:
+            burnin: int = 10, seed: int = 0, trace_out: list | None = None) -> np.ndarray:
     """Restore a {0,1} image: posterior mean spin sign under the Ising smoother.
 
     The bias field anchors each pixel to its observed value while the
@@ -216,7 +195,7 @@ def denoise(noisy_image, w: float = 1.0, bias_scale: float = 2.0, sweeps: int = 
     kept = 0
     for t in range(sweeps):
         before = lat.s.copy() if trace_out is not None else None
-        gibbs_sweep(lat, part, buf, plan)
+        gibbs_sweep(lat, part, buf)
         if trace_out is not None:
             trace_out.append(float(np.count_nonzero(lat.s != before)) / lat.s.size)
         if t >= burnin:

@@ -20,6 +20,7 @@ scope; structural facts (regions, merges, flops) come from
 
 from __future__ import annotations
 
+import csv
 import statistics
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -184,10 +185,10 @@ def write_bench_csv(records: list[BenchRecord], path,
                     failures: list[tuple[str, str]] | None = None) -> None:
     """CSV rows plus one roofline sidecar comment per distinct K.
 
-    Failed cells become rows with empty metric fields and a `[failed]`
-    marker appended to the label.
+    Failed cells become rows with empty metric fields and a `[failed: ...]`
+    marker appended to the label, which csv.writer quotes where needed.
     """
-    with open(path, "w") as fh:
+    with open(path, "w", newline="") as fh:
         fh.write("label,n_rows,n_cols,workers,n_chunks,cpr,wall_seconds,evals\n")
         for k in sorted({r.n_cols for r in records}):
             fh.write(f"# roofline n_cols={k} compute_min_cpr={compute_min_cpr(hw, k):.6g} "
@@ -195,8 +196,9 @@ def write_bench_csv(records: list[BenchRecord], path,
         for r in records:
             fh.write(f"{r.label},{r.n_rows},{r.n_cols},{r.workers},{r.n_chunks},"
                      f"{r.cpr:.6g},{r.wall_seconds:.6g},{r.evals}\n")
+        writer = csv.writer(fh, lineterminator="\n")
         for cell, msg in failures or []:
-            fh.write(f"{cell} [failed: {msg}],,,,,,,\n")
+            writer.writerow([f"{cell} [failed: {msg}]"] + [""] * 7)
 
 
 _LIST_KEYS = {"n_rows", "n_cols", "workers", "chunks", "strategies"}

@@ -3,8 +3,8 @@
 Coordinates are swept in fixed ascending order; each coordinate draw uses
 Neal's stepping-out/shrinkage slice sampler on the conditional posterior.
 Every conditional evaluation goes through the differential-update fast
-path by default (O(N) per evaluation instead of O(N*K)); a full-recompute
-mode exists so the two paths can be cross-checked draw for draw.
+path (O(N) per evaluation instead of O(N*K)); the tests keep a full
+recompute as the oracle that chains must match draw for draw.
 
 All randomness is consumed from a DeviateBuffer, so a chain is a pure
 function of (data, prior, config, plan) and the buffer's stream identity.
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .glm import (DesignMatrix, ExecPlan, GlmWorkspace, commit_update,
-                  diff_loglike, loglike)
+from .glm import DesignMatrix, ExecPlan, GlmWorkspace, commit_update, diff_loglike
 from .rng import BufferKind, DeviateBuffer
 
 __all__ = [
@@ -90,19 +89,13 @@ class SliceStats:
 
 
 def log_posterior_coord(ws: GlmWorkspace, data: DesignMatrix, prior: GaussianPrior,
-                        k: int, delta: float = 0.0, plan: ExecPlan = ExecPlan(),
-                        use_diff: bool = True) -> float:
+                        k: int, delta: float = 0.0, plan: ExecPlan = ExecPlan()) -> float:
     """Conditional log posterior of beta_k at beta_current[k] + delta.
 
-    Likelihood through diff_loglike (or a full recompute when use_diff is
-    False), plus the prior's k-term; constants in beta_k are dropped.
+    Likelihood through diff_loglike, plus the prior's k-term; constants in
+    beta_k are dropped.
     """
-    if use_diff:
-        ll = diff_loglike(ws, data, k, delta, plan)
-    else:
-        beta = ws.beta_current.copy()
-        beta[k] += delta
-        ll = loglike(data, beta, plan)
+    ll = diff_loglike(ws, data, k, delta, plan)
     return ll + prior.logpdf_coord(k, ws.beta_current[k] + delta)
 
 
@@ -111,7 +104,7 @@ _MAX_SHRINK = 1000
 
 def slice_sample_coord(ws: GlmWorkspace, data: DesignMatrix, prior: GaussianPrior,
                        k: int, rng: DeviateBuffer, cfg: ChainConfig,
-                       plan: ExecPlan = ExecPlan(), use_diff: bool = True,
+                       plan: ExecPlan = ExecPlan(),
                        stats: SliceStats | None = None) -> float:
     """Draw beta_k from its conditional posterior and commit it to the workspace.
 
@@ -124,7 +117,7 @@ def slice_sample_coord(ws: GlmWorkspace, data: DesignMatrix, prior: GaussianPrio
 
     def logpost(x: float) -> float:
         stats.evals += 1
-        return log_posterior_coord(ws, data, prior, k, x - x0, plan, use_diff)
+        return log_posterior_coord(ws, data, prior, k, x - x0, plan)
 
     f0 = logpost(x0)
     # 1 - u lies in (0,1], keeping the level strictly below f0 almost surely
@@ -163,13 +156,13 @@ def slice_sample_coord(ws: GlmWorkspace, data: DesignMatrix, prior: GaussianPrio
     else:
         raise RuntimeError(f"slice shrinkage failed to accept (coordinate {k})")
 
-    commit_update(ws, k, x1 - x0, plan)
+    commit_update(ws, k, x1 - x0)
     return x1
 
 
 def run_chain(data: DesignMatrix, prior: GaussianPrior, cfg: ChainConfig,
-              plan: ExecPlan = ExecPlan(), use_diff_update: bool = True,
-              rng: DeviateBuffer | None = None, debug: bool = False) -> ChainOutput:
+              plan: ExecPlan = ExecPlan(), rng: DeviateBuffer | None = None,
+              debug: bool = False) -> ChainOutput:
     """Systematic-scan Gibbs chain; burn-in draws are discarded.
 
     The chain starts at the prior mean.  `rng` overrides the default
@@ -189,7 +182,7 @@ def run_chain(data: DesignMatrix, prior: GaussianPrior, cfg: ChainConfig,
     t0 = time.perf_counter()
     for it in range(cfg.n_iter):
         for k in range(data.n_cols):
-            slice_sample_coord(ws, data, prior, k, rng, cfg, plan, use_diff_update, stats)
+            slice_sample_coord(ws, data, prior, k, rng, cfg, plan, stats)
         if it >= cfg.n_burnin:
             draws[it - cfg.n_burnin] = ws.beta_current
         if debug and (it + 1) % 100 == 0:

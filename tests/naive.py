@@ -1,8 +1,9 @@
 """Independent reference oracles, deliberately naive.
 
-Nothing here touches the package's kernel code paths: scalar double loops,
-brute-force enumeration, and plain finite differences only.  Tests compare
-the production kernels against these.
+Scalar double loops, brute-force enumeration, and plain finite differences.
+Tests compare the production kernels against these.  One oracle,
+`full_recompute_loglike`, is built on a package kernel; every other one
+touches none of the package's code paths.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import math
 from itertools import product
 
 import numpy as np
+
+from parmcmc.glm import loglike
 
 
 def naive_loglike(x, y, beta) -> float:
@@ -45,6 +48,20 @@ def naive_grad(x, y, beta) -> np.ndarray:
         for k in range(x.shape[1]):
             g[k] += (float(y[n]) - p) * float(x[n, k])
     return g
+
+
+def full_recompute_loglike(ws, data, k: int, delta: float, plan) -> float:
+    """`loglike` at ws.beta_current with coordinate k moved by delta.
+
+    The full O(N*K) recompute that the differential update replaces, with
+    `parmcmc.sampler.diff_loglike`'s signature so a test can substitute it
+    with monkeypatch and run a chain on it.  It is the one oracle here built
+    on a package kernel; `loglike` is itself checked against `naive_loglike`
+    (tests/test_glm.py).
+    """
+    beta = ws.beta_current.copy()
+    beta[k] += delta
+    return loglike(data, beta, plan)
 
 
 def fd_gradient(func, beta, coords=None, h_scale: float = 1e-6) -> dict[int, float]:

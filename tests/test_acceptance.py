@@ -18,7 +18,7 @@ from parmcmc.rng import (BenchDist, BenchMode, BufferKind, DeviateBuffer, GammaP
                          gamma_sample, rng_bench)
 from parmcmc.sampler import ChainConfig, GaussianPrior, log_posterior_coord, run_chain
 
-from naive import enumerate_boltzmann, fd_gradient
+from naive import enumerate_boltzmann, fd_gradient, full_recompute_loglike
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -89,12 +89,14 @@ def test_criterion_2_strategy_oracle_equivalence():
 # 3. differential update: identical chains, >= 2x faster evaluation
 # ---------------------------------------------------------------------------
 
-def test_criterion_3_diff_update_correctness_and_benefit():
+def test_criterion_3_diff_update_correctness_and_benefit(monkeypatch):
     data, _ = synthetic_logistic(2000, 10, seed=300)
     prior = GaussianPrior.isotropic(10, sigma=5.0)
     cfg = ChainConfig(n_iter=200, n_burnin=50, seed=17)
-    d = run_chain(data, prior, cfg, use_diff_update=True)
-    f = run_chain(data, prior, cfg, use_diff_update=False)
+    d = run_chain(data, prior, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(pm.sampler, "diff_loglike", full_recompute_loglike)
+        f = run_chain(data, prior, cfg)
     max_gap = float(np.max(np.abs(d.draws - f.draws)))
 
     big, _ = synthetic_logistic(200_000, 50, seed=301)
@@ -103,21 +105,23 @@ def test_criterion_3_diff_update_correctness_and_benefit():
     ws = GlmWorkspace(big, beta0)
     plan = ExecPlan(Strategy.PLF, workers=1)
 
-    def timed(use_diff: bool) -> float:
+    def timed() -> float:
         gen = np.random.default_rng(303)
         for _ in range(3):  # warm-up
-            log_posterior_coord(ws, big, prior50, 7, 0.1, plan, use_diff)
+            log_posterior_coord(ws, big, prior50, 7, 0.1, plan)
         times = []
         for _ in range(15):
             k = int(gen.integers(50))
             delta = float(gen.normal(0.0, 0.1))
             t0 = time.perf_counter()
-            log_posterior_coord(ws, big, prior50, k, delta, plan, use_diff)
+            log_posterior_coord(ws, big, prior50, k, delta, plan)
             times.append(time.perf_counter() - t0)
         return statistics.median(times)
 
-    t_full = timed(False)
-    t_diff = timed(True)
+    with monkeypatch.context() as m:
+        m.setattr(pm.sampler, "diff_loglike", full_recompute_loglike)
+        t_full = timed()
+    t_diff = timed()
     speedup = t_full / t_diff
     ok = max_gap <= 1e-6 and speedup >= 2.0
     _report(3, "differential update correctness and benefit", ok,

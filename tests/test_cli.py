@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 
 from parmcmc import cli, perf
@@ -77,6 +79,17 @@ def test_bench_cell_failures_still_exit_zero(tmp_path):
     assert "[failed:" in out.read_text()
 
 
+def test_bench_failed_rows_keep_header_width(tmp_path):
+    # the failure message "n_chunks must be >= 1, got 0" holds a comma
+    out = tmp_path / "f.csv"
+    assert cli.main(["bench", "--N", "100", "--K", "2", "--strategies", "plf_chunked",
+                     "--chunks", "0", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
+    assert any("[failed: n_chunks must be >= 1, got 0]" in r[0] for r in rows)
+    assert all(len(r) == len(rows[0]) for r in rows)
+
+
 # ---------------------------------------------------------------------------
 # glm-sample
 # ---------------------------------------------------------------------------
@@ -91,15 +104,13 @@ def test_glm_sample_synthetic(tmp_path, capsys):
     assert draws.shape == (30, 3)
 
 
-def test_glm_sample_diff_toggle_same_draws(tmp_path):
+def test_glm_sample_rejects_removed_path_flags(tmp_path):
+    # the differential update is the only evaluation path, and the chain's
+    # plan is just its worker count
     args = ["glm-sample", "--synthetic", "150,3", "--iters", "30", "--burnin", "5",
-            "--seed", "9"]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert cli.main(args + ["--diff-update", "--out", str(a)]) == 0
-    assert cli.main(args + ["--no-diff-update", "--out", str(b)]) == 0
-    da = np.loadtxt(a, delimiter=",", skiprows=1)
-    db = np.loadtxt(b, delimiter=",", skiprows=1)
-    assert np.max(np.abs(da - db)) <= 1e-6
+            "--out", str(tmp_path / "d.csv")]
+    assert cli.main(args + ["--no-diff-update"]) == 2
+    assert cli.main(args + ["--strategy", "som"]) == 2
 
 
 def test_glm_sample_reads_csv(tmp_path):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from parmcmc.glm import ExecPlan
 from parmcmc.ising import (IsingLattice, color_lattice, conditional_prob,
                            denoise, flip_noise, gibbs_sweep, read_pbm,
                            synthetic_binary_image, write_pbm)
@@ -158,18 +157,6 @@ def test_many_sweeps_match_naive_oracle():
         mapping = _take_deviate_map(lat, part, oracle_buf)
         expected = naive_sweep(expected, lat.b, lat.w, mapping)
         np.testing.assert_array_equal(lat.s, expected)
-
-
-def test_sweep_worker_split_is_exact():
-    latA = random_lattice(8, 9, seed=3)
-    latB = IsingLattice(latA.s.copy(), latA.b.copy(), latA.w)
-    pA, pB = color_lattice(latA), color_lattice(latB)
-    bufA = DeviateBuffer(BufferKind.UNIFORM01, seed=5)
-    bufB = DeviateBuffer(BufferKind.UNIFORM01, seed=5)
-    for _ in range(10):
-        gibbs_sweep(latA, pA, bufA)
-        gibbs_sweep(latB, pB, bufB, plan=ExecPlan(workers=4))
-    np.testing.assert_array_equal(latA.s, latB.s)
 
 
 def test_sweep_determinism():

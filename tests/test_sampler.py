@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from parmcmc import sampler
 from parmcmc.glm import DesignMatrix, ExecPlan, GlmWorkspace, Strategy, loglike, synthetic_logistic
 from parmcmc.rng import BufferKind, DeviateBuffer
 from parmcmc.sampler import (ChainConfig, GaussianPrior, SliceStats, SliceWidenError,
                              log_posterior_coord, run_chain, slice_sample_coord,
                              write_draws_csv)
 
-from naive import naive_loglike
+from naive import full_recompute_loglike, naive_loglike
 
 
 def small_problem(n=120, k=4, seed=0):
@@ -48,12 +49,13 @@ def test_empty_likelihood_is_rejected_at_construction():
         DesignMatrix(np.empty((0, 1)), np.empty(0))
 
 
-def test_diff_and_full_paths_agree():
+def test_diff_and_full_paths_agree(monkeypatch):
     data, beta, prior = small_problem(seed=5)
     ws = GlmWorkspace(data, beta)
-    for k in range(data.n_cols):
-        a = log_posterior_coord(ws, data, prior, k, 0.3, use_diff=True)
-        b = log_posterior_coord(ws, data, prior, k, 0.3, use_diff=False)
+    diff = [log_posterior_coord(ws, data, prior, k, 0.3) for k in range(data.n_cols)]
+    monkeypatch.setattr(sampler, "diff_loglike", full_recompute_loglike)
+    for k, a in enumerate(diff):
+        b = log_posterior_coord(ws, data, prior, k, 0.3)
         assert abs(a - b) / max(abs(a), 1.0) < 1e-12
 
 
@@ -145,11 +147,12 @@ def test_chain_stores_expected_draw_count():
     assert out.accept_evals > 0 and out.wall_time >= 0
 
 
-def test_chain_diff_vs_full_recompute_identical():
+def test_chain_diff_vs_full_recompute_identical(monkeypatch):
     data, _, prior = small_problem(n=400, k=5, seed=8)
     cfg = ChainConfig(n_iter=150, n_burnin=50, seed=31)
-    d = run_chain(data, prior, cfg, use_diff_update=True)
-    f = run_chain(data, prior, cfg, use_diff_update=False)
+    d = run_chain(data, prior, cfg)
+    monkeypatch.setattr(sampler, "diff_loglike", full_recompute_loglike)
+    f = run_chain(data, prior, cfg)
     assert np.max(np.abs(d.draws - f.draws)) <= 1e-6
 
 
