@@ -216,21 +216,6 @@ def _check_beta(beta, n_cols: int) -> np.ndarray:
     return beta
 
 
-def _chunk_bounds(start: int, stop: int, n_chunks: int) -> list[tuple[int, int]]:
-    """Split [start, stop) into n_chunks pieces; the last absorbs the remainder.
-
-    n_chunks is clamped to the block's row count.
-    """
-    size = stop - start
-    if size == 0:
-        return []
-    n_chunks = min(n_chunks, size)
-    base = size // n_chunks
-    bounds = [(start + i * base, start + (i + 1) * base) for i in range(n_chunks)]
-    bounds[-1] = (bounds[-1][0], stop)
-    return bounds
-
-
 def _block_eval(x, y, beta, g, t=None) -> float:
     """f partial of one row block; adds its gradient partial into g unless None.
 
@@ -258,15 +243,17 @@ def _worker_blocks(data, plan: ExecPlan) -> list[list[tuple[np.ndarray, np.ndarr
     """Each worker's list of (x, y) row blocks, all views of the data.
 
     A ShardedMatrix deals its shards round-robin: worker w holds shards w,
-    w + workers, ...  A DesignMatrix gives each worker its static partition
-    block, cut into n_chunks cache-sized pieces under PLF_CHUNKED.  Workers
-    beyond the row count get an empty list.
+    w + workers, ...  A DesignMatrix gives each worker its parallel.partition
+    block, which PLF_CHUNKED cuts again with parallel.partition into n_chunks
+    cache-sized pieces.  Both cuts follow one rule, so a worker block, like a
+    chunk, is empty wherever the pieces outnumber the rows.
     """
     if isinstance(data, ShardedMatrix):
         return [[(s.x, s.y) for s in data.shards[w::plan.workers]]
                 for w in range(plan.workers)]
     n_chunks = plan.n_chunks if plan.strategy is Strategy.PLF_CHUNKED else 1
-    return [[(data.x[a:b], data.y[a:b]) for a, b in _chunk_bounds(start, stop, n_chunks)]
+    return [[(data.x[start + a:start + b], data.y[start + a:start + b])
+             for a, b in parallel.partition(stop - start, n_chunks)]
             for start, stop in parallel.partition(data.n_rows, plan.workers)]
 
 
@@ -449,8 +436,7 @@ def load_design_csv(path) -> DesignMatrix:
     return DesignMatrix(arr[:, :-1], y)
 
 
-def synthetic_logistic(n_rows: int, n_cols: int, seed: int = 0,
-                       beta=None, beta_scale: float = 1.0):
+def synthetic_logistic(n_rows: int, n_cols: int, seed: int = 0, beta=None):
     """Seeded synthetic instance: X ~ N(0,1), y ~ Bernoulli(sigmoid(X beta)).
 
     Returns (DesignMatrix, beta_true).
@@ -458,7 +444,7 @@ def synthetic_logistic(n_rows: int, n_cols: int, seed: int = 0,
     gen = np.random.default_rng(seed)
     x = gen.standard_normal((n_rows, n_cols))
     if beta is None:
-        beta = gen.normal(0.0, beta_scale, n_cols)
+        beta = gen.normal(0.0, 1.0, n_cols)
     else:
         beta = _check_beta(beta, n_cols)
     y = (gen.random(n_rows) < expit(x @ beta)).astype(np.float64)

@@ -3,11 +3,12 @@
 M regression groups share a fixed Gaussian hyperprior on their coefficient
 vectors.  With the hyperprior fixed, the group coefficients are
 conditionally independent, so a Gibbs sweep may update all groups
-concurrently.  Two worker mappings are offered:
+concurrently.  The two worker mappings differ only in where the workers
+go; one sweep path serves both:
 
 * COARSE  workers are spread across groups (static round-robin by group
           index); each group's likelihood runs single-worker.
-* FINE    groups are processed sequentially; each group's likelihood is
+* FINE    one task walks the groups in order; each group's likelihood is
           row-parallel across the policy's workers.
 
 Each group consumes an independent uniform stream keyed by
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import parallel
 from .glm import DesignMatrix, ExecPlan, GlmWorkspace, Strategy, loglike, synthetic_logistic
-from .perf import BenchRecord
+from .perf import REFERENCE_MACHINE, BenchRecord
 from .rng import BufferKind, DeviateBuffer
 from .sampler import ChainConfig, GaussianPrior, SliceStats, slice_sample_coord
 
@@ -110,12 +111,11 @@ def synthetic_hb_dataset(m_groups: int, n_cols: int, navg: int, seed: int = 0,
 class HbState:
     """Per-group workspaces and RNG streams persisting across sweeps."""
 
-    def __init__(self, ds: HbDataset, prior: GaussianPrior, seed: int = 0,
-                 buffer_capacity: int = 8192):
+    def __init__(self, ds: HbDataset, prior: GaussianPrior, seed: int = 0):
         if prior.mu.shape != (ds.n_cols,):
             raise ValueError("prior dimension does not match dataset")
         self.workspaces = [GlmWorkspace(g, prior.mu) for g in ds.groups]
-        self.buffers = [DeviateBuffer(BufferKind.UNIFORM01, buffer_capacity, seed, owner=(m,))
+        self.buffers = [DeviateBuffer(BufferKind.UNIFORM01, seed=seed, owner=(m,))
                         for m in range(ds.m_groups)]
         self.total_evals = 0
 
@@ -124,61 +124,57 @@ class HbState:
         return [ws.beta_current.copy() for ws in self.workspaces]
 
 
+#: one slice update per coordinate and sweep, at the sampler's default settings
+_SWEEP_CFG = ChainConfig(n_iter=1, n_burnin=0)
+
+
 def _sweep_group(group: DesignMatrix, ws: GlmWorkspace, buf: DeviateBuffer,
-                 prior: GaussianPrior, policy: MappingPolicy, cfg: ChainConfig,
-                 inner_plan: ExecPlan) -> int:
+                 prior: GaussianPrior, policy: MappingPolicy, inner_plan: ExecPlan) -> int:
     stats = SliceStats()
     for _ in range(policy.neval - 1):
         loglike(group, ws.beta_current, inner_plan)
     for k in range(group.n_cols):
-        slice_sample_coord(ws, group, prior, k, buf, cfg, inner_plan, stats=stats)
+        slice_sample_coord(ws, group, prior, k, buf, _SWEEP_CFG, inner_plan, stats=stats)
     return stats.evals
 
 
 def hb_sweep(ds: HbDataset, state: HbState, prior: GaussianPrior,
-             policy: MappingPolicy, slice_width: float = 1.0,
-             slice_max_steps: int = 50) -> list[np.ndarray]:
+             policy: MappingPolicy) -> list[np.ndarray]:
     """One Gibbs sweep: every group's coefficient vector updated once.
 
+    One region runs `outer` tasks, task w sweeping groups w, w + outer, ...
+    with `inner`-worker likelihoods: COARSE puts the workers across groups
+    (outer = workers), FINE inside each likelihood (inner = workers).
     Returns the post-sweep coefficient vectors (copies).
     """
-    cfg = ChainConfig(n_iter=1, n_burnin=0, slice_width=slice_width,
-                      slice_max_steps=slice_max_steps)
-    if policy.mode is MappingMode.COARSE:
-        inner = ExecPlan(Strategy.PLF, workers=1)
-        assignment = [list(range(ds.m_groups))[w::policy.workers]
-                      for w in range(policy.workers)]
+    coarse = policy.mode is MappingMode.COARSE
+    outer, inner = (policy.workers, 1) if coarse else (1, policy.workers)
+    inner_plan = ExecPlan(Strategy.PLF, workers=inner)
 
-        def task(groups):
-            def run():
-                evals = 0
-                for m in groups:
-                    evals += _sweep_group(ds.groups[m], state.workspaces[m],
-                                          state.buffers[m], prior, policy, cfg, inner)
-                return evals
-            return run
+    def task(w):
+        def run():
+            return sum(_sweep_group(ds.groups[m], state.workspaces[m], state.buffers[m],
+                                    prior, policy, inner_plan)
+                       for m in range(w, ds.m_groups, outer))
+        return run
 
-        per_worker = parallel.run_region([task(g) for g in assignment])
-        state.total_evals += sum(per_worker)
-    else:
-        inner = ExecPlan(Strategy.PLF, workers=policy.workers)
-        for m in range(ds.m_groups):
-            state.total_evals += _sweep_group(ds.groups[m], state.workspaces[m],
-                                              state.buffers[m], prior, policy, cfg, inner)
+    state.total_evals += sum(parallel.run_region([task(w) for w in range(outer)]))
     return state.betas
 
 
 def hb_benchmark(ds: HbDataset, prior: GaussianPrior, policies: list[MappingPolicy],
-                 n_sweeps: int = 3, reps: int = 3, seed: int = 0,
-                 clock_ghz: float = 2.6, slice_width: float = 1.0) -> list[BenchRecord]:
+                 n_sweeps: int = 3, reps: int = 3, seed: int = 0) -> list[BenchRecord]:
     """Time hb_sweep under each policy; one record per policy.
 
     Every repetition restarts from a fresh state with the same seed, so the
     draw streams are identical across repetitions and across policies with
     equivalent schedules (only the timings vary).  The declared `evals` is
     n_sweeps * neval (the per-group full-likelihood passes), making cpr a
-    cycles-per-group-row throughput figure.
+    cycles-per-group-row throughput figure at the reference machine's clock.
     """
+    for name, value in (("n_sweeps", n_sweeps), ("reps", reps)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     records = []
     for policy in policies:
         walls = []
@@ -186,12 +182,12 @@ def hb_benchmark(ds: HbDataset, prior: GaussianPrior, policies: list[MappingPoli
             state = HbState(ds, prior, seed=seed)
             t0 = time.perf_counter()
             for _ in range(n_sweeps):
-                hb_sweep(ds, state, prior, policy, slice_width=slice_width)
+                hb_sweep(ds, state, prior, policy)
             walls.append(time.perf_counter() - t0)
         label = f"hb/{policy.mode.value}/neval{policy.neval}"
         records.append(BenchRecord.from_wall(
             label=label, n_rows=ds.n_rows_total, n_cols=ds.n_cols,
             workers=policy.workers, n_chunks=1,
             wall_seconds=statistics.median(walls),
-            evals=n_sweeps * policy.neval, clock_ghz=clock_ghz))
+            evals=n_sweeps * policy.neval, clock_ghz=REFERENCE_MACHINE.cpu_clock_ghz))
     return records

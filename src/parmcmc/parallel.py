@@ -7,9 +7,11 @@ result of a region is bit-identical no matter how the OS schedules the
 threads.  Numpy releases the GIL inside its kernels, which is where all
 the heavy lifting happens.
 
-Nested regions serialize: a region opened from inside a worker runs its
-tasks inline on that worker's thread.  This both avoids pool starvation
-and mirrors the usual nested-parallelism-off runtime default.
+Nested regions serialize: a region opened from inside a pool worker runs
+its tasks inline on that worker's thread.  This both avoids pool starvation
+and mirrors the usual nested-parallelism-off runtime default.  A one-task
+region is no fork at all: its task runs on the caller's thread without
+marking it, so a region the task opens still fans out to the pool.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def run_region(tasks: Sequence[Callable[[], T]]) -> list[T]:
     """
     counters.add_region()
     if len(tasks) == 1 or getattr(_tls, "inside_region", False):
-        return [_run_wrapped(t) for t in tasks]
+        return [t() for t in tasks]
     pool = _pool(len(tasks))
     futures = [pool.submit(_run_wrapped, t) for t in tasks]
     for f in futures:

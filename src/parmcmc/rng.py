@@ -29,6 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .perf import REFERENCE_MACHINE
+
 
 class BufferKind(Enum):
     UNIFORM01 = "uniform01"
@@ -263,20 +265,17 @@ class RngBenchRecord:
     waste_fraction: float
 
 
-#: Nominal clock used to express wall time in cycles (reference-machine default).
-NOMINAL_CLOCK_GHZ = 2.6
-
 _BENCH_GAMMA = GammaParams(alpha=2.0, rate=3.0)
 _BENCH_DIRICHLET_K = 100  # LDA-style topic count; cycles normalized per Gamma draw
 
 
-def rng_bench(dist: BenchDist, mode: BenchMode, n: int, seed: int = 0,
-              capacity: int = 8192, clock_ghz: float = NOMINAL_CLOCK_GHZ) -> RngBenchRecord:
+def rng_bench(dist: BenchDist, mode: BenchMode, n: int, seed: int = 0) -> RngBenchRecord:
     """Time generating n deviates and report cycles per sample.
 
-    Batch mode consumes block-refilled buffers; one-at-a-time mode invokes
-    the generator per deviate.  Dirichlet draws are K=100 vectors and the
-    per-sample normalization is per Gamma component generated.
+    Batch mode consumes default-capacity buffers; one-at-a-time mode invokes
+    the generator per deviate.  Cycles count at the reference machine's
+    nominal clock.  Dirichlet draws are K=100 vectors and the per-sample
+    normalization is per Gamma component generated.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -284,12 +283,12 @@ def rng_bench(dist: BenchDist, mode: BenchMode, n: int, seed: int = 0,
     if dist in (BenchDist.UNIFORM, BenchDist.NORMAL):
         kind = BufferKind.UNIFORM01 if dist is BenchDist.UNIFORM else BufferKind.STD_NORMAL
         if mode is BenchMode.BATCH:
-            buf = DeviateBuffer(kind, capacity=capacity, seed=seed)
+            buf = DeviateBuffer(kind, seed=seed)
             sink = 0.0
             t0 = time.perf_counter()
             left = n
             while left > 0:
-                block = buf.take(min(left, capacity))
+                block = buf.take(min(left, buf.capacity))
                 sink += float(block[-1])
                 left -= block.size
             wall = time.perf_counter() - t0
@@ -303,7 +302,7 @@ def rng_bench(dist: BenchDist, mode: BenchMode, n: int, seed: int = 0,
             wall = time.perf_counter() - t0
         samples = n
     else:
-        u_src, n_src = _bench_sources(mode, seed, capacity)
+        u_src, n_src = _bench_sources(mode, seed)
         t0 = time.perf_counter()
         if dist is BenchDist.GAMMA:
             for _ in range(n):
@@ -319,14 +318,14 @@ def rng_bench(dist: BenchDist, mode: BenchMode, n: int, seed: int = 0,
             gen = u_src.generated + n_src.generated
             used = u_src.consumed + n_src.consumed
             waste = (gen - used) / gen if gen else 0.0
-    cps = wall * clock_ghz * 1e9 / samples
+    cps = wall * REFERENCE_MACHINE.cpu_clock_ghz * 1e9 / samples
     return RngBenchRecord(dist.value, mode.value, n, cps, waste)
 
 
-def _bench_sources(mode: BenchMode, seed: int, capacity: int):
+def _bench_sources(mode: BenchMode, seed: int):
     if mode is BenchMode.BATCH:
-        return (DeviateBuffer(BufferKind.UNIFORM01, capacity, seed, owner=(0,)),
-                DeviateBuffer(BufferKind.STD_NORMAL, capacity, seed, owner=(1,)))
+        return (DeviateBuffer(BufferKind.UNIFORM01, seed=seed, owner=(0,)),
+                DeviateBuffer(BufferKind.STD_NORMAL, seed=seed, owner=(1,)))
     return OneAtATimeUniform(seed, owner=(0,)), OneAtATimeNormal(seed, owner=(1,))
 
 

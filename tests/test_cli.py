@@ -217,6 +217,15 @@ def test_hb_bench_grid(tmp_path):
         "hb/coarse/neval1", "hb/coarse/neval2", "hb/fine/neval1", "hb/fine/neval2"}
 
 
+def test_hb_bench_rejects_zero_sweeps_and_reps(tmp_path, capsys):
+    base = ["hb-bench", "--groups", "2", "--K", "2", "--navg", "20", "--neval", "1",
+            "--out", str(tmp_path / "hb.csv")]
+    for flag, name in (("--sweeps", "n_sweeps"), ("--reps", "reps")):
+        assert cli.main(base + [flag, "0"]) == 2
+        assert f"{name} must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "hb.csv").exists()
+
+
 def test_rng_bench_cli(tmp_path):
     out = tmp_path / "rng.csv"
     rc = cli.main(["rng-bench", "--dists", "uniform,gamma", "--modes", "oaat,batch",

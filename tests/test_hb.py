@@ -65,9 +65,11 @@ def test_coarse_equals_fine_with_one_worker_bitwise():
 def test_coarse_draws_do_not_depend_on_worker_count():
     ds, _, prior = tiny_setup(seed=4)
     b1, _ = run_sweeps(ds, prior, MappingPolicy(MappingMode.COARSE, workers=1), 12)
-    b3, _ = run_sweeps(ds, prior, MappingPolicy(MappingMode.COARSE, workers=3), 12)
-    for a, b in zip(b1, b3):
-        assert np.array_equal(a, b)
+    # 6 workers over 4 groups: two workers get no group
+    for workers in (3, 6):
+        bw, _ = run_sweeps(ds, prior, MappingPolicy(MappingMode.COARSE, workers=workers), 12)
+        for a, b in zip(b1, bw):
+            assert np.array_equal(a, b)
 
 
 def test_neval_does_not_change_draws():

@@ -9,14 +9,19 @@ import pytest
 
 from parmcmc import parallel
 
-# an outer 2-task region whose tasks each open two 2-task regions
+# an outer 2-task region whose tasks each open two 2-task regions, then one
+# whose tasks open a 1-task region that opens a 2-task region
 NESTED_REGIONS = textwrap.dedent("""
     from parmcmc.parallel import run_region
 
     def outer():
         return [run_region([lambda: 1, lambda: 2]), run_region([lambda: 3, lambda: 4])]
 
+    def through_one_task():
+        return run_region([lambda: run_region([lambda: 5, lambda: 6])])
+
     print(run_region([outer, outer]))
+    print(run_region([through_one_task, through_one_task]))
 """)
 
 
@@ -29,7 +34,18 @@ def test_nested_regions_do_not_deadlock():
     proc = subprocess.run([sys.executable, "-c", NESTED_REGIONS], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[[[1, 2], [3, 4]], [[1, 2], [3, 4]]]"
+    assert proc.stdout.splitlines() == ["[[[1, 2], [3, 4]], [[1, 2], [3, 4]]]",
+                                        "[[[5, 6]], [[5, 6]]]"]
+
+
+def test_one_task_region_leaves_nested_regions_parallel():
+    # a lone task runs on the caller's thread without marking it, so a
+    # 2-task region it opens still fans out to pool threads
+    def nested():
+        return parallel.run_region([lambda: threading.current_thread().name] * 2)
+
+    [names] = parallel.run_region([nested])
+    assert all(name.startswith("region") for name in names), names
 
 
 def test_failed_region_waits_for_every_task():
