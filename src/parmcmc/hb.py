@@ -7,15 +7,16 @@ concurrently.  The two worker mappings differ only in where the workers
 go; one sweep path serves both:
 
 * COARSE  workers are spread across groups (static round-robin by group
-          index); each group's likelihood runs single-worker.
+          index); each worker steps its equal-size groups in lockstep, one
+          single-worker (active, n) block evaluation per round.
 * FINE    one task walks the groups in order; each group's likelihood is
           row-parallel across the policy's workers.
 
 Each group consumes an independent uniform stream keyed by
 (master seed, group index), so draws never depend on the mapping, the
-worker count, or scheduling order -- with one worker the two modes are
-bit-identical, and a single group's chain reproduces `sampler.run_chain`
-run on the same stream.
+worker count, lockstep batching or scheduling order -- with one worker
+the two modes are bit-identical, and a single group's chain reproduces
+`sampler.run_chain` run on the same stream.
 
 The per-sweep `neval` knob issues extra full log-likelihood evaluations
 per group before its update, mimicking samplers that touch the group's
@@ -33,10 +34,12 @@ from enum import Enum
 import numpy as np
 
 from . import parallel
-from .glm import DesignMatrix, ExecPlan, GlmWorkspace, Strategy, loglike, synthetic_logistic
+from .glm import (_DIFF_FLOPS, DesignMatrix, ExecPlan, GlmWorkspace, Strategy, _nll_sum,
+                  commit_update, loglike, synthetic_logistic)
+from .instrumentation import counters
 from .perf import REFERENCE_MACHINE, BenchRecord
 from .rng import BufferKind, DeviateBuffer
-from .sampler import ChainConfig, GaussianPrior, SliceStats, slice_sample_coord
+from .sampler import ChainConfig, GaussianPrior, SliceStats, slice_moves, slice_sample_coord
 
 __all__ = [
     "MappingMode", "MappingPolicy", "HbDataset", "HbState",
@@ -128,14 +131,41 @@ class HbState:
 _SWEEP_CFG = ChainConfig(n_iter=1, n_burnin=0)
 
 
-def _sweep_group(group: DesignMatrix, ws: GlmWorkspace, buf: DeviateBuffer,
-                 prior: GaussianPrior, policy: MappingPolicy, inner_plan: ExecPlan) -> int:
-    stats = SliceStats()
-    for _ in range(policy.neval - 1):
-        loglike(group, ws.beta_current, inner_plan)
-    for k in range(group.n_cols):
-        slice_sample_coord(ws, group, prior, k, buf, _SWEEP_CFG, inner_plan, stats=stats)
-    return stats.evals
+def _sweep_lockstep(ds: HbDataset, state: HbState, prior: GaussianPrior,
+                    members: list[int]) -> int:
+    """Sweep equal-size groups in lockstep; returns the number of evaluations.
+
+    For each coordinate every group runs its own `slice_moves`.  Each round
+    evaluates the points of all groups still stepping out or shrinking as
+    one (active, n) block, with the expression diff_loglike and
+    log_posterior_coord use per group, so each group sees the same bits.
+    """
+    wss = [state.workspaces[m] for m in members]
+    y = np.stack([ds.groups[m].y for m in members])
+    evals = 0
+    for k in range(ds.n_cols):
+        xb = np.stack([ws.xbeta for ws in wss])
+        xk = np.stack([ws.xt[k] for ws in wss])
+        x0 = np.array([ws.beta_current[k] for ws in wss])
+        moves = [slice_moves(float(b), k, state.buffers[m], _SWEEP_CFG)
+                 for b, m in zip(x0, members)]
+        x = np.array([next(mv) for mv in moves])
+        active = np.arange(len(members))
+        while active.size:
+            d = x[active] - x0[active]
+            f = (_nll_sum(xb[active] + d[:, None] * xk[active], y[active])
+                 + prior.logpdf_coord(k, x0[active] + d))
+            counters.add_flops(active.size * y.shape[1] * _DIFF_FLOPS)
+            evals += active.size
+            stepping = []
+            for i, fi in zip(active, f):
+                try:
+                    x[i] = moves[i].send(fi)
+                    stepping.append(i)
+                except StopIteration as done:
+                    commit_update(wss[i], k, done.value - x0[i])
+            active = np.array(stepping, dtype=np.intp)
+    return evals
 
 
 def hb_sweep(ds: HbDataset, state: HbState, prior: GaussianPrior,
@@ -144,21 +174,32 @@ def hb_sweep(ds: HbDataset, state: HbState, prior: GaussianPrior,
 
     One region runs `outer` tasks, task w sweeping groups w, w + outer, ...
     with `inner`-worker likelihoods: COARSE puts the workers across groups
-    (outer = workers), FINE inside each likelihood (inner = workers).
+    (outer = workers), FINE inside each likelihood (inner = workers).  With
+    single-worker likelihoods a task steps its equal-size groups in lockstep.
     Returns the post-sweep coefficient vectors (copies).
     """
     coarse = policy.mode is MappingMode.COARSE
     outer, inner = (policy.workers, 1) if coarse else (1, policy.workers)
     inner_plan = ExecPlan(Strategy.PLF, workers=inner)
 
-    def task(w):
-        def run():
-            return sum(_sweep_group(ds.groups[m], state.workspaces[m], state.buffers[m],
-                                    prior, policy, inner_plan)
-                       for m in range(w, ds.m_groups, outer))
-        return run
+    def sweep(members: range) -> int:
+        for m in members:
+            for _ in range(policy.neval - 1):
+                loglike(ds.groups[m], state.workspaces[m].beta_current, inner_plan)
+        if inner == 1:
+            sizes = dict.fromkeys(ds.groups[m].n_rows for m in members)
+            return sum(_sweep_lockstep(ds, state, prior,
+                                       [m for m in members if ds.groups[m].n_rows == n])
+                       for n in sizes)
+        stats = SliceStats()
+        for m in members:
+            for k in range(ds.n_cols):
+                slice_sample_coord(state.workspaces[m], ds.groups[m], prior, k,
+                                   state.buffers[m], _SWEEP_CFG, inner_plan, stats=stats)
+        return stats.evals
 
-    state.total_evals += sum(parallel.run_region([task(w) for w in range(outer)]))
+    state.total_evals += sum(parallel.run_region(
+        [lambda w=w: sweep(range(w, ds.m_groups, outer)) for w in range(outer)]))
     return state.betas
 
 

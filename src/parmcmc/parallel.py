@@ -11,21 +11,25 @@ Nested regions serialize: a region opened from inside a pool worker runs
 its tasks inline on that worker's thread.  This both avoids pool starvation
 and mirrors the usual nested-parallelism-off runtime default.  A one-task
 region is no fork at all: its task runs on the caller's thread without
-marking it, so a region the task opens still fans out to the pool.
+marking it, so a region the task opens still fans out to the pool.  One
+pool serves every region; it grows by replacement to the largest region
+seen and is shut down at exit.
 """
 
 from __future__ import annotations
 
+import atexit
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 from .instrumentation import counters
 
 T = TypeVar("T")
 
-_pools: dict[int, ThreadPoolExecutor] = {}
-_pools_lock = threading.Lock()
+_pool: ThreadPoolExecutor | None = None
+_pool_size = 0
+_pool_lock = threading.Lock()
 _tls = threading.local()
 
 
@@ -48,13 +52,22 @@ def partition(n: int, workers: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _pool(size: int) -> ThreadPoolExecutor:
-    with _pools_lock:
-        pool = _pools.get(size)
-        if pool is None:
-            pool = ThreadPoolExecutor(max_workers=size, thread_name_prefix=f"region{size}")
-            _pools[size] = pool
-        return pool
+def _submit(tasks: Sequence[Callable[[], T]]) -> list[Future]:
+    """Submit the tasks to the one pool, replacing it first if it is too small.
+
+    Submitting under the lock keeps a region off a pool already shut down.
+    """
+    global _pool, _pool_size
+    with _pool_lock:
+        if _pool_size < len(tasks):
+            if _pool is not None:
+                _pool.shutdown()  # waits for the old threads to exit
+            _pool = ThreadPoolExecutor(max_workers=len(tasks), thread_name_prefix="region")
+            _pool_size = len(tasks)
+        return [_pool.submit(_run_wrapped, t) for t in tasks]
+
+
+atexit.register(lambda: _pool is not None and _pool.shutdown())
 
 
 def _run_wrapped(task: Callable[[], T]) -> T:
@@ -79,8 +92,7 @@ def run_region(tasks: Sequence[Callable[[], T]]) -> list[T]:
     counters.add_region()
     if len(tasks) == 1 or getattr(_tls, "inside_region", False):
         return [t() for t in tasks]
-    pool = _pool(len(tasks))
-    futures = [pool.submit(_run_wrapped, t) for t in tasks]
+    futures = _submit(tasks)
     for f in futures:
         f.exception()  # blocks until done without raising, so every task finishes
     return [f.result() for f in futures]

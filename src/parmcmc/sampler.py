@@ -1,9 +1,11 @@
 """Univariate slice-within-Gibbs sampling for Bayesian logistic regression.
 
 Coordinates are swept in fixed ascending order; each coordinate draw uses
-Neal's stepping-out/shrinkage slice sampler on the conditional posterior.
-Every conditional evaluation goes through the differential-update fast
-path (O(N) per evaluation instead of O(N*K)); the tests keep a full
+Neal's stepping-out/shrinkage slice sampler on the conditional posterior,
+written once as the `slice_moves` generator, which yields the points to
+evaluate and is sent their log posteriors.  `slice_sample_coord` drives it
+with the differential-update fast path (O(N) per evaluation instead of
+O(N*K)), `hb` drives many groups in lockstep; the tests keep a full
 recompute as the oracle that chains must match draw for draw.
 
 All randomness is consumed from a DeviateBuffer, so a chain is a pure
@@ -23,7 +25,7 @@ from .rng import BufferKind, DeviateBuffer
 
 __all__ = [
     "GaussianPrior", "ChainConfig", "ChainOutput", "SliceStats",
-    "SliceWidenError", "log_posterior_coord", "slice_sample_coord",
+    "SliceWidenError", "log_posterior_coord", "slice_moves", "slice_sample_coord",
     "run_chain", "write_draws_csv",
 ]
 
@@ -102,62 +104,64 @@ def log_posterior_coord(ws: GlmWorkspace, data: DesignMatrix, prior: GaussianPri
 _MAX_SHRINK = 1000
 
 
+def slice_moves(x0: float, k: int, rng: DeviateBuffer, cfg: ChainConfig):
+    """Neal's stepping-out and shrinkage for coordinate k, as a generator.
+
+    Yields each point to evaluate, starting with x0, and must be sent the
+    log posterior there; returns the draw.  Stepping-out starts from width
+    cfg.slice_width and takes at most cfg.slice_max_steps expansions per
+    side, else raises SliceWidenError.  Only the slice_* fields of cfg are
+    read here.  The generator owns every read of `rng`, so any driver that
+    sends the same values consumes the stream identically.
+    """
+    # 1 - u lies in (0,1], keeping the level strictly below f0 almost surely
+    level = (yield x0) + math.log(1.0 - rng.next())
+
+    width = cfg.slice_width
+    left = x0 - rng.next() * width
+    ends = [left, left + width]
+    for side, step in ((0, -width), (1, width)):
+        steps = 0
+        while (yield ends[side]) > level:
+            ends[side] += step
+            steps += 1
+            if steps > cfg.slice_max_steps:
+                raise SliceWidenError(
+                    f"stepping-out exceeded {cfg.slice_max_steps} steps (coordinate {k})")
+    left, right = ends
+
+    for _ in range(_MAX_SHRINK):
+        x1 = left + rng.next() * (right - left)
+        if (yield x1) > level:
+            return x1
+        if x1 < x0:
+            left = x1
+        else:
+            right = x1
+        if right - left < 1e-12 * (1.0 + abs(x0)):
+            return x0  # degenerate slice; keep the current point
+    raise RuntimeError(f"slice shrinkage failed to accept (coordinate {k})")
+
+
 def slice_sample_coord(ws: GlmWorkspace, data: DesignMatrix, prior: GaussianPrior,
                        k: int, rng: DeviateBuffer, cfg: ChainConfig,
                        plan: ExecPlan = ExecPlan(),
                        stats: SliceStats | None = None) -> float:
     """Draw beta_k from its conditional posterior and commit it to the workspace.
 
-    Stepping-out with initial width cfg.slice_width (at most
-    cfg.slice_max_steps expansions per side), then shrinkage.  Only the
-    slice_* fields of cfg are read here.
+    Drives `slice_moves` with one log_posterior_coord evaluation per point.
     """
     stats = stats if stats is not None else SliceStats()
     x0 = float(ws.beta_current[k])
-
-    def logpost(x: float) -> float:
-        stats.evals += 1
-        return log_posterior_coord(ws, data, prior, k, x - x0, plan)
-
-    f0 = logpost(x0)
-    # 1 - u lies in (0,1], keeping the level strictly below f0 almost surely
-    level = f0 + math.log(1.0 - rng.next())
-
-    width = cfg.slice_width
-    r = rng.next()
-    left = x0 - r * width
-    right = left + width
-    steps = 0
-    while logpost(left) > level:
-        left -= width
-        steps += 1
-        if steps > cfg.slice_max_steps:
-            raise SliceWidenError(
-                f"stepping-out exceeded {cfg.slice_max_steps} steps (coordinate {k})")
-    steps = 0
-    while logpost(right) > level:
-        right += width
-        steps += 1
-        if steps > cfg.slice_max_steps:
-            raise SliceWidenError(
-                f"stepping-out exceeded {cfg.slice_max_steps} steps (coordinate {k})")
-
-    for _ in range(_MAX_SHRINK):
-        x1 = left + rng.next() * (right - left)
-        if logpost(x1) > level:
-            break
-        if x1 < x0:
-            left = x1
-        else:
-            right = x1
-        if right - left < 1e-12 * (1.0 + abs(x0)):
-            x1 = x0  # degenerate slice; keep the current point
-            break
-    else:
-        raise RuntimeError(f"slice shrinkage failed to accept (coordinate {k})")
-
-    commit_update(ws, k, x1 - x0)
-    return x1
+    moves = slice_moves(x0, k, rng, cfg)
+    x = next(moves)
+    try:
+        while True:
+            stats.evals += 1
+            x = moves.send(log_posterior_coord(ws, data, prior, k, x - x0, plan))
+    except StopIteration as done:
+        commit_update(ws, k, done.value - x0)
+        return done.value
 
 
 def run_chain(data: DesignMatrix, prior: GaussianPrior, cfg: ChainConfig,

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from parmcmc.glm import (DesignMatrix, ExecPlan, GlmWorkspace, Strategy,
+from parmcmc.glm import (DesignMatrix, ExecPlan, GlmWorkspace, Strategy, _nll_sum,
                          commit_update, diff_loglike, load_design_csv, loglike,
                          loglike_grad, make_sharded, synthetic_logistic)
 from parmcmc.instrumentation import counters
@@ -224,6 +224,19 @@ def test_diff_loglike_requires_transpose_and_valid_coord():
         diff_loglike(ws, data, 3, 0.1)
     with pytest.raises(IndexError):
         commit_update(ws, -1, 0.1)
+
+
+@pytest.mark.parametrize("n", [1, 997, 1000, 4099])
+def test_nll_sum_block_rows_match_one_row_calls_bitwise(n):
+    # lockstep hb sweeps evaluate many groups as one (G, n) block; each row
+    # must give the bits diff_loglike's 1-D call gives
+    gen = np.random.default_rng(n)
+    t = gen.standard_normal((7, n)) * 3.0
+    y = (gen.random((7, n)) < 0.5).astype(float)
+    rows = np.array([5, 0, 3, 6])
+    singles = np.array([_nll_sum(t[i], y[i]) for i in range(7)])
+    assert np.array_equal(_nll_sum(t, y), singles)
+    assert np.array_equal(_nll_sum(t[rows], y[rows]), singles[rows])
 
 
 def test_diff_flop_count_is_small_fraction_of_full():

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from parmcmc.glm import synthetic_logistic
+from parmcmc.glm import DesignMatrix, synthetic_logistic
+from parmcmc.instrumentation import counters
 from parmcmc.hb import (HbDataset, HbState, MappingMode, MappingPolicy,
                         hb_benchmark, hb_sweep, synthetic_hb_dataset)
 from parmcmc.rng import BufferKind, DeviateBuffer
-from parmcmc.sampler import ChainConfig, GaussianPrior, run_chain
+from parmcmc.sampler import ChainConfig, GaussianPrior, SliceWidenError, run_chain
 
 
 def tiny_setup(m=4, k=3, navg=200, seed=0):
@@ -92,6 +93,48 @@ def test_group_chain_decomposes_to_single_group_chains():
                          ChainConfig(n_iter=n_sweeps, n_burnin=0),
                          rng=DeviateBuffer(BufferKind.UNIFORM01, seed=17, owner=(m,)))
         assert np.array_equal(solo.draws[-1], betas[m])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_coarse_lockstep_on_ragged_groups_matches_single_group_chains(workers):
+    # two equal-size groups share a lockstep bucket; the 57-row and the
+    # 1-row group each step alone
+    groups = [synthetic_logistic(n, 3, seed=40 + i)[0] for i, n in enumerate((120, 120, 57, 1))]
+    ds = HbDataset(groups)
+    prior = GaussianPrior.isotropic(3)
+    betas, _ = run_sweeps(ds, prior, MappingPolicy(MappingMode.COARSE, workers=workers),
+                          6, seed=21)
+    for m, group in enumerate(groups):
+        solo = run_chain(group, prior, ChainConfig(n_iter=6, n_burnin=0),
+                         rng=DeviateBuffer(BufferKind.UNIFORM01, seed=21, owner=(m,)))
+        assert np.array_equal(solo.draws[-1], betas[m])
+
+
+@pytest.mark.parametrize("mode", list(MappingMode))
+def test_separated_group_raises_slice_widen_error(mode):
+    # y = 1 exactly where x0 > 0: the likelihood keeps rising along beta_0
+    # and a near-flat prior cannot stop the stepping-out
+    ds, _, _ = tiny_setup(m=3, k=2, navg=60, seed=12)
+    x = ds.groups[1].x
+    groups = list(ds.groups)
+    groups[1] = DesignMatrix(x, (x[:, 0] > 0).astype(float))
+    ds = HbDataset(groups)
+    prior = GaussianPrior.isotropic(2, sigma=1e6)
+    with pytest.raises(SliceWidenError):
+        hb_sweep(ds, HbState(ds, prior, seed=2), prior, MappingPolicy(mode, workers=2))
+
+
+def test_coarse_and_fine_account_equal_flops_and_evals():
+    ds, _, prior = tiny_setup(m=4, k=3, navg=150, seed=13)
+    flops, evals = {}, {}
+    for mode in MappingMode:
+        state = HbState(ds, prior, seed=8)
+        counters.reset()
+        hb_sweep(ds, state, prior, MappingPolicy(mode, workers=2))
+        flops[mode] = counters.snapshot().flops
+        evals[mode] = state.total_evals
+    assert flops[MappingMode.COARSE] == flops[MappingMode.FINE] > 0
+    assert evals[MappingMode.COARSE] == evals[MappingMode.FINE] > 0
 
 
 def _batch_means_se(samples: np.ndarray, n_batches: int = 10) -> np.ndarray:

@@ -24,6 +24,20 @@ NESTED_REGIONS = textwrap.dedent("""
     print(run_region([through_one_task, through_one_task]))
 """)
 
+# regions of 2, 3 and 6 tasks, twice over; each task waits at a barrier until
+# its whole region has started, so every region holds as many threads as tasks
+REGION_SIZES = textwrap.dedent("""
+    import threading
+    from parmcmc.parallel import run_region
+
+    before = threading.active_count()
+    for _ in range(2):
+        for n in (2, 3, 6):
+            barrier = threading.Barrier(n, timeout=30)
+            run_region([barrier.wait] * n)
+    print(threading.active_count() - before)
+""")
+
 
 def test_nested_regions_do_not_deadlock():
     # a hung region leaves a non-daemon pool thread behind, which would keep
@@ -64,3 +78,14 @@ def test_failed_region_waits_for_every_task():
         parallel.run_region([fail("first"), slow, fail("second")])
     # the error reaches the caller only once the slow sibling is done
     assert finished.is_set()
+
+
+def test_region_threads_stay_bounded_by_the_largest_region():
+    # a fresh process, so pools left by other tests cannot hide the growth
+    src = os.path.dirname(os.path.dirname(os.path.abspath(parallel.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", REGION_SIZES], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 6, proc.stdout
