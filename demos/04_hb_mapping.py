@@ -1,9 +1,11 @@
 """Coarse vs fine worker mapping for hierarchical Bayesian regression.
 
 With a fixed hyperprior, the M group coefficient vectors are conditionally
-independent: workers can go across groups (coarse) or inside each group's
-likelihood (fine).  Which wins is a cache-geometry question -- the grid
-below measures it instead of assuming.
+independent, so equal-size groups can be sampled as one SIMD block.
+Coarse steps those blocks in lockstep on the calling thread, and its
+workers only share out the extra `neval` likelihood passes across groups;
+fine puts the workers inside each group's likelihood.  Which wins is a
+cache-geometry question -- the grid below measures it instead of assuming.
 """
 
 from parmcmc import (GaussianPrior, HbState, MappingMode, MappingPolicy,

@@ -6,11 +6,16 @@ conditionally independent, so a Gibbs sweep may update all groups
 concurrently.  The two worker mappings differ only in where the workers
 go; one sweep path serves both:
 
-* COARSE  workers are spread across groups (static round-robin by group
-          index); each worker steps its equal-size groups in lockstep, one
-          single-worker (active, n) block evaluation per round.
-* FINE    one task walks the groups in order; each group's likelihood is
-          row-parallel across the policy's workers.
+* COARSE  the slice updates run on the calling thread at any worker count:
+          each bucket of equal-size groups is stepped in lockstep, with
+          (active, n) block evaluations per slice-sampler round.  The
+          workers only share out the extra `neval` passes across groups.
+* FINE    the groups are walked in order on the calling thread; each
+          group's likelihood is row-parallel across the policy's workers
+          (with one worker, FINE steps the buckets in lockstep too).
+
+Stepping a bucket in one thread beats splitting it: both halves would run
+the same Python-heavy rounds and serialize on the GIL.
 
 Each group consumes an independent uniform stream keyed by
 (master seed, group index), so draws never depend on the mapping, the
@@ -19,7 +24,7 @@ the two modes are bit-identical, and a single group's chain reproduces
 `sampler.run_chain` run on the same stream.
 
 The per-sweep `neval` knob issues extra full log-likelihood evaluations
-per group before its update, mimicking samplers that touch the group's
+per group before the sweep's updates, mimicking samplers that touch the group's
 data several times per iteration (the data-reuse axis of the mapping
 trade-off).  It consumes no randomness and therefore never changes draws.
 """
@@ -111,15 +116,47 @@ def synthetic_hb_dataset(m_groups: int, n_cols: int, navg: int, seed: int = 0,
     return HbDataset(groups), betas
 
 
+class _Bucket:
+    """Equal-size groups stored as contiguous blocks.
+
+    X.beta is (G, n), the transposed X is (K, G, n) and y is (G, n); each
+    member workspace's xbeta and xt become row views of these blocks, so
+    per-group calls (diff_loglike, commit_update, validate) and the
+    lockstep driver read and write the same memory.
+    """
+
+    def __init__(self, ds: HbDataset, members: list[int], workspaces: list[GlmWorkspace],
+                 buffers: list[DeviateBuffer]):
+        self.workspaces = [workspaces[m] for m in members]
+        self.buffers = [buffers[m] for m in members]
+        self.xbeta = np.stack([ws.xbeta for ws in self.workspaces])
+        self.xt = np.stack([ws.xt for ws in self.workspaces], axis=1)
+        self.y = np.stack([ds.groups[m].y for m in members])
+        for i, ws in enumerate(self.workspaces):
+            ws.xbeta, ws.xt = self.xbeta[i], self.xt[:, i]
+
+
 class HbState:
-    """Per-group workspaces and RNG streams persisting across sweeps."""
+    """Per-group workspaces and RNG streams persisting across sweeps.
+
+    A state belongs to the dataset it was built for; `hb_sweep` refuses
+    any other.
+    """
 
     def __init__(self, ds: HbDataset, prior: GaussianPrior, seed: int = 0):
         if prior.mu.shape != (ds.n_cols,):
             raise ValueError("prior dimension does not match dataset")
+        self.ds = ds
         self.workspaces = [GlmWorkspace(g, prior.mu) for g in ds.groups]
-        self.buffers = [DeviateBuffer(BufferKind.UNIFORM01, seed=seed, owner=(m,))
+        # a sweep draws about 4.6 deviates per coordinate, so a refill
+        # covers about three sweeps; the stream does not depend on capacity
+        self.buffers = [DeviateBuffer(BufferKind.UNIFORM01, capacity=16 * ds.n_cols,
+                                      seed=seed, owner=(m,))
                         for m in range(ds.m_groups)]
+        sizes = dict.fromkeys(g.n_rows for g in ds.groups)
+        self.buckets = [_Bucket(ds, [m for m, g in enumerate(ds.groups) if g.n_rows == n],
+                                self.workspaces, self.buffers)
+                        for n in sizes]
         self.total_evals = 0
 
     @property
@@ -130,31 +167,38 @@ class HbState:
 #: one slice update per coordinate and sweep, at the sampler's default settings
 _SWEEP_CFG = ChainConfig(n_iter=1, n_burnin=0)
 
+#: elements per block evaluation: a lockstep round evaluates its groups in
+#: blocks of at most this many elements (at least one group), so each
+#: temporary stays at 256 KiB; 20 groups x 20000 rows as one block ran 3-4x
+#: slower per element than blocks of 10 groups or fewer
+_BLOCK_ELEMS = 1 << 15
 
-def _sweep_lockstep(ds: HbDataset, state: HbState, prior: GaussianPrior,
-                    members: list[int]) -> int:
-    """Sweep equal-size groups in lockstep; returns the number of evaluations.
+
+def _sweep_lockstep(bucket: _Bucket, prior: GaussianPrior) -> int:
+    """Sweep one bucket in lockstep; returns the number of evaluations.
 
     For each coordinate every group runs its own `slice_moves`.  Each round
     evaluates the points of all groups still stepping out or shrinking as
-    one (active, n) block, with the expression diff_loglike and
-    log_posterior_coord use per group, so each group sees the same bits.
+    (active, n) blocks of at most _BLOCK_ELEMS elements, with the expression
+    diff_loglike and log_posterior_coord use per group, so each group sees
+    the same bits.  A group leaves the round set when it commits its draw,
+    so the rows still read from the live X.beta block are never mid-update.
     """
-    wss = [state.workspaces[m] for m in members]
-    y = np.stack([ds.groups[m].y for m in members])
+    wss, xb, y = bucket.workspaces, bucket.xbeta, bucket.y
+    rows = max(1, _BLOCK_ELEMS // y.shape[1])
     evals = 0
-    for k in range(ds.n_cols):
-        xb = np.stack([ws.xbeta for ws in wss])
-        xk = np.stack([ws.xt[k] for ws in wss])
+    for k, xk in enumerate(bucket.xt):
         x0 = np.array([ws.beta_current[k] for ws in wss])
-        moves = [slice_moves(float(b), k, state.buffers[m], _SWEEP_CFG)
-                 for b, m in zip(x0, members)]
+        moves = [slice_moves(float(b), k, buf, _SWEEP_CFG)
+                 for b, buf in zip(x0, bucket.buffers)]
         x = np.array([next(mv) for mv in moves])
-        active = np.arange(len(members))
+        active = np.arange(len(wss))
         while active.size:
             d = x[active] - x0[active]
-            f = (_nll_sum(xb[active] + d[:, None] * xk[active], y[active])
-                 + prior.logpdf_coord(k, x0[active] + d))
+            f = prior.logpdf_coord(k, x0[active] + d)
+            for j in range(0, active.size, rows):
+                a = active[j:j + rows]
+                f[j:j + rows] += _nll_sum(xb[a] + d[j:j + rows, None] * xk[a], y[a])
             counters.add_flops(active.size * y.shape[1] * _DIFF_FLOPS)
             evals += active.size
             stepping = []
@@ -172,34 +216,38 @@ def hb_sweep(ds: HbDataset, state: HbState, prior: GaussianPrior,
              policy: MappingPolicy) -> list[np.ndarray]:
     """One Gibbs sweep: every group's coefficient vector updated once.
 
-    One region runs `outer` tasks, task w sweeping groups w, w + outer, ...
-    with `inner`-worker likelihoods: COARSE puts the workers across groups
-    (outer = workers), FINE inside each likelihood (inner = workers).  With
-    single-worker likelihoods a task steps its equal-size groups in lockstep.
-    Returns the post-sweep coefficient vectors (copies).
+    COARSE puts the workers across groups (outer = workers), FINE inside
+    each likelihood (inner = workers).  That mapping only places the
+    `neval` - 1 extra loglike passes, run in one region of `outer` tasks,
+    task w taking groups w, w + outer, ...; with neval == 1 no region
+    opens.  The slice updates then run on the calling thread: with
+    single-worker likelihoods (COARSE, or FINE at 1 worker) each bucket of
+    equal-size groups is stepped in lockstep, otherwise group by group with
+    `inner`-worker likelihoods.  Raises ValueError if `state` was built for
+    another dataset.  Returns the post-sweep coefficient vectors (copies).
     """
+    if ds is not state.ds:
+        raise ValueError("state was built for a different dataset")
     coarse = policy.mode is MappingMode.COARSE
     outer, inner = (policy.workers, 1) if coarse else (1, policy.workers)
     inner_plan = ExecPlan(Strategy.PLF, workers=inner)
+    if policy.neval > 1:
+        def passes(w: int) -> None:
+            for m in range(w, ds.m_groups, outer):
+                for _ in range(policy.neval - 1):
+                    loglike(ds.groups[m], state.workspaces[m].beta_current, inner_plan)
 
-    def sweep(members: range) -> int:
-        for m in members:
-            for _ in range(policy.neval - 1):
-                loglike(ds.groups[m], state.workspaces[m].beta_current, inner_plan)
-        if inner == 1:
-            sizes = dict.fromkeys(ds.groups[m].n_rows for m in members)
-            return sum(_sweep_lockstep(ds, state, prior,
-                                       [m for m in members if ds.groups[m].n_rows == n])
-                       for n in sizes)
+        parallel.run_region([lambda w=w: passes(w) for w in range(outer)])
+    if inner == 1:
+        evals = sum(_sweep_lockstep(b, prior) for b in state.buckets)
+    else:
         stats = SliceStats()
-        for m in members:
+        for group, ws, buf in zip(ds.groups, state.workspaces, state.buffers):
             for k in range(ds.n_cols):
-                slice_sample_coord(state.workspaces[m], ds.groups[m], prior, k,
-                                   state.buffers[m], _SWEEP_CFG, inner_plan, stats=stats)
-        return stats.evals
-
-    state.total_evals += sum(parallel.run_region(
-        [lambda w=w: sweep(range(w, ds.m_groups, outer)) for w in range(outer)]))
+                slice_sample_coord(ws, group, prior, k, buf, _SWEEP_CFG, inner_plan,
+                                   stats=stats)
+        evals = stats.evals
+    state.total_evals += evals
     return state.betas
 
 

@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+from parmcmc import hb, parallel
 from parmcmc.glm import DesignMatrix, synthetic_logistic
 from parmcmc.instrumentation import counters
 from parmcmc.hb import (HbDataset, HbState, MappingMode, MappingPolicy,
@@ -108,6 +111,77 @@ def test_coarse_lockstep_on_ragged_groups_matches_single_group_chains(workers):
         solo = run_chain(group, prior, ChainConfig(n_iter=6, n_burnin=0),
                          rng=DeviateBuffer(BufferKind.UNIFORM01, seed=21, owner=(m,)))
         assert np.array_equal(solo.draws[-1], betas[m])
+
+
+def test_sweep_rejects_a_state_built_for_another_dataset():
+    ds_a, _, prior = tiny_setup(m=3, k=3, navg=50, seed=14)
+    ds_b, _, _ = tiny_setup(m=3, k=3, navg=50, seed=15)   # same shape, other data
+    ds_c, _, _ = tiny_setup(m=4, k=3, navg=50, seed=14)   # one group more
+    for mode in MappingMode:
+        policy = MappingPolicy(mode, workers=2)
+        for other in (ds_b, ds_c):
+            with pytest.raises(ValueError, match="different dataset"):
+                hb_sweep(other, HbState(ds_a, prior, seed=1), prior, policy)
+
+
+def test_coarse_updates_run_on_the_calling_thread(monkeypatch):
+    # with neval == 1 a COARSE sweep opens no multi-task region at any
+    # worker count: the lockstep driver commits every draw on the caller
+    ds, _, prior = tiny_setup(m=4, k=3, navg=80, seed=16)
+    b1, _ = run_sweeps(ds, prior, MappingPolicy(MappingMode.COARSE, workers=1), 3)
+
+    def no_fork(tasks):
+        raise AssertionError(f"a {len(tasks)}-task region was submitted")
+
+    threads = set()
+    commit = hb.commit_update
+
+    def recording_commit(*args):
+        threads.add(threading.current_thread())
+        commit(*args)
+
+    monkeypatch.setattr(parallel, "_submit", no_fork)
+    monkeypatch.setattr(hb, "commit_update", recording_commit)
+    b2, _ = run_sweeps(ds, prior, MappingPolicy(MappingMode.COARSE, workers=2), 3)
+    assert threads == {threading.current_thread()}
+    for a, b in zip(b1, b2):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("block_elems", [1, 250])
+def test_lockstep_row_blocks_do_not_change_draws(monkeypatch, block_elems):
+    # a lockstep round evaluates its groups in row blocks; 1 element makes
+    # every block one group, 250 splits the 120-row bucket 2 + 1
+    groups = [synthetic_logistic(n, 3, seed=70 + i)[0] for i, n in enumerate((120, 120, 57, 120))]
+    ds = HbDataset(groups)
+    prior = GaussianPrior.isotropic(3)
+    policy = MappingPolicy(MappingMode.COARSE, workers=2)
+    runs = []
+    for elems in (hb._BLOCK_ELEMS, block_elems):
+        monkeypatch.setattr(hb, "_BLOCK_ELEMS", elems)
+        counters.reset()
+        betas, state = run_sweeps(ds, prior, policy, 4, seed=6)
+        runs.append((np.stack(betas), state.total_evals, counters.snapshot().flops))
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert runs[0][1:] == runs[1][1:]
+
+
+def test_alternating_mappings_share_the_bucket_block_views():
+    # FINE at 2 workers reads and commits through each workspace's row
+    # views, COARSE through the bucket blocks behind them
+    groups = [synthetic_logistic(n, 3, seed=60 + i)[0] for i, n in enumerate((90, 90, 41, 90, 1))]
+    ds = HbDataset(groups)
+    prior = GaussianPrior.isotropic(3)
+    coarse = MappingPolicy(MappingMode.COARSE, workers=2)
+    fine = MappingPolicy(MappingMode.FINE, workers=2)
+    b_coarse, _ = run_sweeps(ds, prior, coarse, 6, seed=5)
+    state = HbState(ds, prior, seed=5)
+    for t in range(6):
+        betas = hb_sweep(ds, state, prior, fine if t % 2 else coarse)
+    for a, b in zip(b_coarse, betas):
+        assert np.array_equal(a, b)
+    for ws, group in zip(state.workspaces, groups):
+        ws.validate(group, tol=1e-10)
 
 
 @pytest.mark.parametrize("mode", list(MappingMode))
