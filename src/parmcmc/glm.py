@@ -175,6 +175,11 @@ _TR_FLOPS = 6        # (1-y)*t, softplus split, accumulate
 _TR_GRAD_FLOPS = 8   # adds the sigmoid and its subtraction
 _DIFF_FLOPS = 8      # fused axpy + transcendental
 
+#: rows each diff_loglike worker must get before the evaluation forks; at
+#: K=10 on 2 vCPUs one worker beat two up to 40k-50k total rows, and two
+#: won from about 60k
+_DIFF_MIN_ROWS = 1 << 15
+
 
 def _nll_sum(t: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     """sum_n (1-y)t + log(1+exp(-t)) over the last axis, negated.
@@ -335,10 +340,25 @@ class GlmWorkspace:
     """
 
     def __init__(self, data: DesignMatrix, beta0):
+        self._build(data, beta0, np.empty(data.n_rows), np.empty((data.n_cols, data.n_rows)))
+
+    @classmethod
+    def _in_storage(cls, data: DesignMatrix, beta0, xbeta: np.ndarray,
+                    xt: np.ndarray) -> GlmWorkspace:
+        """A workspace built into caller-owned views: X.beta (n,) and the transpose (K, n).
+
+        Each row xt[k] must be contiguous; the views are filled, never copied.
+        """
+        ws = cls.__new__(cls)
+        ws._build(data, beta0, xbeta, xt)
+        return ws
+
+    def _build(self, data, beta0, xbeta, xt) -> None:
         beta0 = _check_beta(beta0, data.n_cols)
         self.beta_current = beta0.copy()
-        self.xbeta = data.x @ beta0
-        self.xt = np.ascontiguousarray(data.x.T)
+        xbeta[:] = data.x @ beta0
+        xt[:] = data.x.T
+        self.xbeta, self.xt = xbeta, xt
         self._shape = (data.n_rows, data.n_cols)
 
     @property
@@ -367,7 +387,10 @@ def diff_loglike(ws: GlmWorkspace, data: DesignMatrix, k: int, delta_beta_k: flo
     """L at beta_current with coordinate k shifted by delta, touching only column k.
 
     Reads the maintained X.beta and one contiguous row of the transpose;
-    never mutates the workspace.
+    never mutates the workspace.  plan.workers is an upper bound: the rows
+    split only as far as every worker gets _DIFF_MIN_ROWS of them, so a
+    smaller evaluation runs as one block on the calling thread, where a
+    fork would cost more than the rows it shares out.
     """
     _check_coord(ws, k)
     if not math.isfinite(delta_beta_k):
@@ -383,8 +406,8 @@ def diff_loglike(ws: GlmWorkspace, data: DesignMatrix, k: int, delta_beta_k: flo
             return _nll_sum(ws.xbeta[a:b] + delta_beta_k * xk[a:b], y[a:b]), None
         return run
 
-    blocks = parallel.partition(ws.n_rows, plan.workers)
-    return _region_merge([task(a, b) for a, b in blocks])[0]
+    workers = min(plan.workers, max(1, ws.n_rows // _DIFF_MIN_ROWS))
+    return _region_merge([task(a, b) for a, b in parallel.partition(ws.n_rows, workers)])[0]
 
 
 def commit_update(ws: GlmWorkspace, k: int, delta_beta_k: float) -> None:

@@ -11,8 +11,11 @@ go; one sweep path serves both:
           (active, n) block evaluations per slice-sampler round.  The
           workers only share out the extra `neval` passes across groups.
 * FINE    the groups are walked in order on the calling thread; each
-          group's likelihood is row-parallel across the policy's workers
-          (with one worker, FINE steps the buckets in lockstep too).
+          group's likelihood is row-parallel across up to the policy's
+          workers (with one worker, FINE steps the buckets in lockstep
+          too).  diff_loglike forks only once each worker gets
+          glm._DIFF_MIN_ROWS rows, so a smaller group is evaluated as one
+          block on the calling thread, with the same bits as COARSE.
 
 Stepping a bucket in one thread beats splitting it: both halves would run
 the same Python-heavy rounds and serialize on the GIL.
@@ -120,20 +123,22 @@ class _Bucket:
     """Equal-size groups stored as contiguous blocks.
 
     X.beta is (G, n), the transposed X is (K, G, n) and y is (G, n); each
-    member workspace's xbeta and xt become row views of these blocks, so
+    member workspace is built straight into row views of these blocks, so
     per-group calls (diff_loglike, commit_update, validate) and the
     lockstep driver read and write the same memory.
     """
 
-    def __init__(self, ds: HbDataset, members: list[int], workspaces: list[GlmWorkspace],
+    def __init__(self, ds: HbDataset, members: list[int], beta0: np.ndarray,
                  buffers: list[DeviateBuffer]):
-        self.workspaces = [workspaces[m] for m in members]
+        groups = [ds.groups[m] for m in members]
+        shape = (len(groups), groups[0].n_rows)
+        self.members = members
         self.buffers = [buffers[m] for m in members]
-        self.xbeta = np.stack([ws.xbeta for ws in self.workspaces])
-        self.xt = np.stack([ws.xt for ws in self.workspaces], axis=1)
-        self.y = np.stack([ds.groups[m].y for m in members])
-        for i, ws in enumerate(self.workspaces):
-            ws.xbeta, ws.xt = self.xbeta[i], self.xt[:, i]
+        self.xbeta = np.empty(shape)
+        self.xt = np.empty((ds.n_cols, *shape))
+        self.y = np.stack([g.y for g in groups])
+        self.workspaces = [GlmWorkspace._in_storage(g, beta0, self.xbeta[i], self.xt[:, i])
+                           for i, g in enumerate(groups)]
 
 
 class HbState:
@@ -147,7 +152,6 @@ class HbState:
         if prior.mu.shape != (ds.n_cols,):
             raise ValueError("prior dimension does not match dataset")
         self.ds = ds
-        self.workspaces = [GlmWorkspace(g, prior.mu) for g in ds.groups]
         # a sweep draws about 4.6 deviates per coordinate, so a refill
         # covers about three sweeps; the stream does not depend on capacity
         self.buffers = [DeviateBuffer(BufferKind.UNIFORM01, capacity=16 * ds.n_cols,
@@ -155,8 +159,10 @@ class HbState:
                         for m in range(ds.m_groups)]
         sizes = dict.fromkeys(g.n_rows for g in ds.groups)
         self.buckets = [_Bucket(ds, [m for m, g in enumerate(ds.groups) if g.n_rows == n],
-                                self.workspaces, self.buffers)
+                                prior.mu, self.buffers)
                         for n in sizes]
+        by_group = {m: ws for b in self.buckets for m, ws in zip(b.members, b.workspaces)}
+        self.workspaces = [by_group[m] for m in range(ds.m_groups)]
         self.total_evals = 0
 
     @property
@@ -223,7 +229,8 @@ def hb_sweep(ds: HbDataset, state: HbState, prior: GaussianPrior,
     opens.  The slice updates then run on the calling thread: with
     single-worker likelihoods (COARSE, or FINE at 1 worker) each bucket of
     equal-size groups is stepped in lockstep, otherwise group by group with
-    `inner`-worker likelihoods.  Raises ValueError if `state` was built for
+    likelihoods of up to `inner` workers, each worker taking at least
+    glm._DIFF_MIN_ROWS rows.  Raises ValueError if `state` was built for
     another dataset.  Returns the post-sweep coefficient vectors (copies).
     """
     if ds is not state.ds:

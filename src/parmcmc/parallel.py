@@ -7,13 +7,18 @@ result of a region is bit-identical no matter how the OS schedules the
 threads.  Numpy releases the GIL inside its kernels, which is where all
 the heavy lifting happens.
 
-Nested regions serialize: a region opened from inside a pool worker runs
-its tasks inline on that worker's thread.  This both avoids pool starvation
-and mirrors the usual nested-parallelism-off runtime default.  A one-task
-region is no fork at all: its task runs on the caller's thread without
-marking it, so a region the task opens still fans out to the pool.  One
-pool serves every region; it grows by replacement to the largest region
-seen and is shut down at exit.
+The caller is a member of the team, as the thread that opens an OpenMP
+region is: it runs task 0 itself while the pool runs the rest, so an
+n-task region needs n - 1 pool threads and pays for one hand-off fewer.
+
+Nested regions serialize: a region opened from inside a region task --
+on a pool thread, or in task 0 on the caller -- runs its tasks inline on
+that thread.  This both avoids pool starvation and mirrors the usual
+nested-parallelism-off runtime default.  A one-task region is no fork at
+all: its task runs on the caller's thread without marking it, so a region
+the task opens still fans out to the pool.  One pool serves every region;
+it grows by replacement to the largest region seen, less the caller's
+task, and is shut down at exit.
 """
 
 from __future__ import annotations
@@ -85,14 +90,20 @@ def _run_wrapped(task: Callable[[], T]) -> T:
 def run_region(tasks: Sequence[Callable[[], T]]) -> list[T]:
     """Execute one parallel region; results are returned in task order.
 
-    The region closes only when every task has finished.  If tasks raise,
-    the first exception in task order propagates after that, so no task of
-    a failed region is still running when the caller sees the error.
+    tasks[1:] go to the pool and tasks[0] runs on the calling thread,
+    marked as inside the region while it runs.  The region closes only
+    when every task has finished, task 0's failure included.  If tasks
+    raise, the first exception in task order propagates after that, so no
+    task of a failed region is still running when the caller sees the
+    error.
     """
     counters.add_region()
-    if len(tasks) == 1 or getattr(_tls, "inside_region", False):
+    if len(tasks) <= 1 or getattr(_tls, "inside_region", False):
         return [t() for t in tasks]
-    futures = _submit(tasks)
-    for f in futures:
-        f.exception()  # blocks until done without raising, so every task finishes
-    return [f.result() for f in futures]
+    futures = _submit(tasks[1:])
+    try:
+        head = _run_wrapped(tasks[0])
+    finally:
+        for f in futures:
+            f.exception()  # blocks until done without raising, so every task finishes
+    return [head] + [f.result() for f in futures]

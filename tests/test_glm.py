@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from parmcmc.glm import (DesignMatrix, ExecPlan, GlmWorkspace, Strategy, _nll_sum,
-                         commit_update, diff_loglike, load_design_csv, loglike,
+from parmcmc.glm import (_DIFF_MIN_ROWS, DesignMatrix, ExecPlan, GlmWorkspace, Strategy,
+                         _nll_sum, commit_update, diff_loglike, load_design_csv, loglike,
                          loglike_grad, make_sharded, synthetic_logistic)
 from parmcmc.instrumentation import counters
 
@@ -224,6 +224,29 @@ def test_diff_loglike_requires_transpose_and_valid_coord():
         diff_loglike(ws, data, 3, 0.1)
     with pytest.raises(IndexError):
         commit_update(ws, -1, 0.1)
+
+
+def test_diff_loglike_below_the_row_floor_runs_as_one_block():
+    # a worker would get fewer than _DIFF_MIN_ROWS rows: no fork, so any
+    # worker count gives the one-worker bits from one merge
+    data, beta = random_instance(2 * _DIFF_MIN_ROWS - 1, 3, seed=9)
+    ws = GlmWorkspace(data, beta)
+    ref = diff_loglike(ws, data, 1, 0.4)
+    for workers in (2, 4):
+        counters.reset()
+        assert diff_loglike(ws, data, 1, 0.4, ExecPlan(workers=workers)) == ref
+        assert counters.snapshot().merge_events == 1
+
+
+def test_diff_loglike_forks_at_the_row_floor():
+    # 2 * _DIFF_MIN_ROWS rows fill two workers, however many the plan offers
+    data, beta = random_instance(2 * _DIFF_MIN_ROWS, 3, seed=10)
+    ws = GlmWorkspace(data, beta)
+    ref = diff_loglike(ws, data, 2, -0.3)
+    for workers in (2, 4):
+        counters.reset()
+        assert rel_err(diff_loglike(ws, data, 2, -0.3, ExecPlan(workers=workers)), ref) < 1e-8
+        assert counters.snapshot().merge_events == 2
 
 
 @pytest.mark.parametrize("n", [1, 997, 1000, 4099])

@@ -1,10 +1,11 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from parmcmc import hb, parallel
-from parmcmc.glm import DesignMatrix, synthetic_logistic
+from parmcmc.glm import _DIFF_MIN_ROWS, DesignMatrix, synthetic_logistic
 from parmcmc.instrumentation import counters
 from parmcmc.hb import (HbDataset, HbState, MappingMode, MappingPolicy,
                         hb_benchmark, hb_sweep, synthetic_hb_dataset)
@@ -182,6 +183,44 @@ def test_alternating_mappings_share_the_bucket_block_views():
         assert np.array_equal(a, b)
     for ws, group in zip(state.workspaces, groups):
         ws.validate(group, tol=1e-10)
+
+
+def test_state_builds_the_transposed_x_once_into_its_bucket_blocks():
+    # every workspace is built straight into row views of its bucket's
+    # blocks, so no per-group copy of the transposed X is made and dropped
+    groups = [synthetic_logistic(n, 8, seed=80 + i)[0]
+              for i, n in enumerate((6000, 6000, 2000, 6000, 1))]
+    ds = HbDataset(groups)
+    prior = GaussianPrior.isotropic(8)
+    xt_bytes = sum(g.x.nbytes for g in groups)
+    blocks = xt_bytes + 2 * sum(g.y.nbytes for g in groups)   # plus X.beta and y
+    tracemalloc.start()
+    try:
+        state = HbState(ds, prior, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocks <= peak < blocks + xt_bytes / 2, (peak, blocks)
+    for bucket in state.buckets:
+        for ws in bucket.workspaces:
+            assert np.shares_memory(ws.xt, bucket.xt)
+            assert np.shares_memory(ws.xbeta, bucket.xbeta)
+    for ws, group in zip(state.workspaces, groups):
+        assert ws.n_rows == group.n_rows
+        ws.validate(group, tol=0.0)
+
+
+def test_fine_above_the_row_floor_forks_and_matches_coarse():
+    # groups large enough for diff_loglike to split them over 2 workers:
+    # every FINE evaluation merges two blocks, and the draws stay COARSE's
+    groups = [synthetic_logistic(2 * _DIFF_MIN_ROWS, 2, seed=90 + i)[0] for i in range(2)]
+    ds = HbDataset(groups)
+    prior = GaussianPrior.isotropic(2)
+    b_coarse, _ = run_sweeps(ds, prior, MappingPolicy(MappingMode.COARSE, workers=2), 3)
+    counters.reset()
+    b_fine, state = run_sweeps(ds, prior, MappingPolicy(MappingMode.FINE, workers=2), 3)
+    assert counters.snapshot().merge_events == 2 * state.total_evals > 0
+    np.testing.assert_allclose(np.stack(b_fine), np.stack(b_coarse), rtol=1e-9, atol=1e-12)
 
 
 @pytest.mark.parametrize("mode", list(MappingMode))

@@ -38,6 +38,17 @@ REGION_SIZES = textwrap.dedent("""
     print(threading.active_count() - before)
 """)
 
+# one 2-task region whose tasks meet at a barrier, so both run at once
+TWO_TASK_REGION = textwrap.dedent("""
+    import threading
+    from parmcmc.parallel import run_region
+
+    before = threading.active_count()
+    barrier = threading.Barrier(2, timeout=30)
+    run_region([barrier.wait] * 2)
+    print(threading.active_count() - before)
+""")
+
 
 def test_nested_regions_do_not_deadlock():
     # a hung region leaves a non-daemon pool thread behind, which would keep
@@ -54,12 +65,14 @@ def test_nested_regions_do_not_deadlock():
 
 def test_one_task_region_leaves_nested_regions_parallel():
     # a lone task runs on the caller's thread without marking it, so a
-    # 2-task region it opens still fans out to pool threads
+    # 2-task region it opens still fans out: the caller runs the first
+    # task, a pool thread the second
     def nested():
         return parallel.run_region([lambda: threading.current_thread().name] * 2)
 
     [names] = parallel.run_region([nested])
-    assert all(name.startswith("region") for name in names), names
+    assert len(set(names)) == 2, names
+    assert any(name.startswith("region") for name in names), names
 
 
 def test_failed_region_waits_for_every_task():
@@ -78,6 +91,56 @@ def test_failed_region_waits_for_every_task():
         parallel.run_region([fail("first"), slow, fail("second")])
     # the error reaches the caller only once the slow sibling is done
     assert finished.is_set()
+
+
+def test_failing_first_task_waits_for_its_siblings():
+    # the caller runs task 0; its error must still wait for the pool's tasks
+    finished = threading.Event()
+
+    def fail():
+        raise RuntimeError("caller's task")
+
+    def slow():
+        time.sleep(0.3)
+        finished.set()
+
+    with pytest.raises(RuntimeError, match="caller's task"):
+        parallel.run_region([fail, slow])
+    assert finished.is_set()
+
+
+def test_failing_sibling_surfaces_when_the_first_task_succeeds():
+    def fail():
+        raise RuntimeError("sibling")
+
+    with pytest.raises(RuntimeError, match="sibling"):
+        parallel.run_region([lambda: 1, fail])
+
+
+def test_caller_is_unmarked_after_its_region():
+    # task 0 marks the caller while it runs; once the region closes, the
+    # caller's next 2-task region must fan out again
+    def names():
+        return parallel.run_region([lambda: threading.current_thread().name] * 2)
+
+    assert parallel.run_region([lambda: 1, lambda: 2]) == [1, 2]
+    assert names()[0] == threading.current_thread().name
+    assert names()[1].startswith("region")
+
+
+def test_empty_region_returns_an_empty_list():
+    assert parallel.run_region([]) == []
+
+
+def test_two_task_region_adds_one_thread():
+    # the caller runs task 0, so a 2-task region needs one pool thread
+    src = os.path.dirname(os.path.dirname(os.path.abspath(parallel.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", TWO_TASK_REGION], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 1, proc.stdout
 
 
 def test_region_threads_stay_bounded_by_the_largest_region():
