@@ -27,8 +27,8 @@ from .perf import (BenchRecord, GridConfig, HardwareDescriptor, REFERENCE_MACHIN
                    compute_min_cpr, memory_min_cpr, run_grid)
 from .rng import (BufferKind, DeviateBuffer, GammaParams, OneAtATimeNormal,
                   OneAtATimeUniform, dirichlet_sample, gamma_sample, rng_bench)
-from .sampler import (ChainConfig, ChainOutput, GaussianPrior, SliceWidenError,
-                      log_posterior_coord, run_chain, slice_sample_coord,
-                      write_draws_csv)
+from .sampler import (ChainConfig, ChainOutput, GaussianPrior, SliceShrinkError,
+                      SliceWidenError, log_posterior_coord, run_chain,
+                      slice_sample_coord, write_draws_csv)
 
 __version__ = "0.1.0"

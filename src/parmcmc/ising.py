@@ -2,21 +2,27 @@
 
 Nodes at (i+j) even and odd form a 2-coloring of the 4-neighbor lattice:
 all same-color nodes are conditionally independent given the other color,
-so a Gibbs sweep is two data-parallel half-updates.  Each color's spins
-and biases are packed into contiguous arrays, and its neighbor table is a
-(4, n) index array, one contiguous row per direction, pointing into the
-*other* color's packed spins (one padding slot holding spin 0 stands in
-for missing boundary neighbors).  A color's neighbor sums are then four
-contiguous gathers added into one output, and the half-update is one
-branch-free vector expression (a worker split of it measured no gain).
+so a Gibbs sweep is two data-parallel half-updates.  Each color's int8
+spins and float biases are packed into contiguous arrays, and its neighbor
+table is a (4, n) index array, one contiguous row per direction, pointing
+into the *other* color's packed spins (one padding slot holding spin 0
+stands in for missing boundary neighbors).  A color's neighbor sums are
+then four contiguous int8 gathers added into one output, and the
+half-update is branch-free vector code (a worker split of it measured no
+gain).
 
 Sampling convention: a node flips to +1 with probability
 
     P(s_i = +1 | rest) = 1 / (1 + exp(-z_i)),   z_i = b_i + w * sum_j s_j
 
-over its (free-boundary) neighbors.  The joint distribution these
-conditionals leave invariant is P(s) ~ exp((b.s + w * sum_edges s_i s_j)/2),
-which `IsingLattice.log_weight` exposes for exact small-lattice checks.
+over its (free-boundary) neighbors.  The neighbor sum is an integer in
+[-4, 4], so z_i takes at most 9 values per distinct bias: the partition
+evaluates conditional_prob once for each, into a table of
+9 * (distinct biases) entries per color, and a half-update looks its
+probabilities up by exact integer index.  The table snapshots the coupling
+w at build time.  The joint distribution these conditionals leave
+invariant is P(s) ~ exp((b.s + w * sum_edges s_i s_j)/2), which
+`IsingLattice.log_weight` exposes for exact small-lattice checks.
 
 Uniform deviates are pre-assigned to nodes by packed index *before* a
 color updates, so the intra-color update order is immaterial and the
@@ -35,8 +41,6 @@ __all__ = [
     "color_lattice", "gibbs_sweep", "denoise",
     "read_pbm", "write_pbm", "synthetic_binary_image", "flip_noise",
 ]
-
-_NEIGHBOR_STEPS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
 
 class IsingLattice:
@@ -94,39 +98,61 @@ def conditional_prob(z):
 
 
 class ColorPartition:
-    """Checkerboard split with per-color packed arrays.
+    """Checkerboard split with per-color packed arrays and probability tables.
 
     colors[c] are the flat (row-major) node indices of color c in scan
-    order, which is also the packed order.  packed_nbr[c] is a contiguous
+    order, which is also the packed order; a node's packed index within
+    its color is its flat index // 2.  packed_nbr[c] is a contiguous
     (4, n_c) array: row d holds, for every node of color c, the index of
     its neighbor in direction d (up, down, left, right) within color 1-c's
-    *padded* spin array, whose final slot is a permanent 0 (the boundary
-    sentinel).  Each direction's row is contiguous so that neighbor_spin_sum
-    gathers it with one sequential take.
+    *padded* int8 spin array, whose final slot is a permanent 0 (the
+    boundary sentinel).  Each direction's row is contiguous so that
+    neighbor_spin_sum gathers it with one sequential take.
+
+    A node's neighbor sum n is an integer in [-4, 4], so its conditional
+    probability is one of 9 values per distinct bias.  table[c] holds them
+    for color c, 9 * (distinct biases of c) entries laid out bias-major,
+    and base[c] gives each node the index of its bias's n = 0 entry, so
+    the node's probability is table[c][base[c] + n].  Each entry is
+    conditional_prob(b + w * n), the same float operations as evaluating
+    the node directly.  The table snapshots the lattice's w (kept as
+    `coupling`) as packed_b snapshots its biases, so a partition serves
+    only the lattice it was built from (kept as `lattice`), at the
+    coupling it had then.
     """
 
     def __init__(self, lat: IsingLattice):
         h, w = lat.height, lat.width
-        ii, jj = np.indices((h, w))
-        flat_color = ((ii + jj) % 2).ravel()
-        self.colors = [np.flatnonzero(flat_color == c) for c in (0, 1)]
-        pos = np.empty(h * w, dtype=np.int64)
+        n = h * w
+        self.lattice = lat
+        self.coupling = lat.w
+        # nodes 2k and 2k + 1 differ in color, so color c's k-th node is one of them
+        first = 2 * np.arange((n + 1) // 2)
+        self.colors = []
         for c in (0, 1):
-            pos[self.colors[c]] = np.arange(self.colors[c].size)
+            first_c = first[: (n + 1 - c) // 2]
+            i, j = np.divmod(first_c, w)
+            self.colors.append(first_c + ((i + j + c) & 1))
 
-        self.packed_b = [np.ascontiguousarray(lat.b.ravel()[self.colors[c]]) for c in (0, 1)]
+        flat_b = lat.b.ravel()
+        self.packed_b = [flat_b[self.colors[c]] for c in (0, 1)]
         # padded spin arrays: slot n_c is the sentinel and stays 0
-        self._s_padded = [np.zeros(self.colors[c].size + 1) for c in (0, 1)]
+        self._s_padded = [np.zeros(self.colors[c].size + 1, dtype=np.int8) for c in (0, 1)]
         self.packed_nbr = []
+        self.table, self.base = [], []
+        nsum = np.arange(-4.0, 5.0)
         for c in (0, 1):
-            sentinel = self.colors[1 - c].size
-            rows = []
-            for di, dj in _NEIGHBOR_STEPS:
-                ni, nj = ii + di, jj + dj
-                valid = ((0 <= ni) & (ni < h) & (0 <= nj) & (nj < w)).ravel()[self.colors[c]]
-                nf = (np.clip(ni, 0, h - 1) * w + np.clip(nj, 0, w - 1)).ravel()[self.colors[c]]
-                rows.append(np.where(valid, pos[nf], sentinel))
-            self.packed_nbr.append(np.stack(rows, axis=0))
+            f = self.colors[c]
+            j = f % w
+            nbr = np.empty((4, f.size), dtype=np.int64)
+            for d, (step, off_grid) in enumerate(((-w, f < w), (w, f >= n - w),
+                                                  (-1, j == 0), (1, j == w - 1))):
+                nbr[d] = (f + step) // 2
+                nbr[d][off_grid] = self.colors[1 - c].size  # the sentinel slot
+            self.packed_nbr.append(nbr)
+            ub, inv = np.unique(self.packed_b[c], return_inverse=True)
+            self.table.append(conditional_prob(ub[:, None] + self.coupling * nsum).ravel())
+            self.base.append(inv * 9 + 4)
         self.pack_from(lat)
 
     @property
@@ -134,7 +160,7 @@ class ColorPartition:
         return [self._s_padded[c][:-1] for c in (0, 1)]
 
     def pack_from(self, lat: IsingLattice) -> None:
-        flat = lat.s.ravel().astype(np.float64)
+        flat = lat.s.ravel()
         for c in (0, 1):
             self._s_padded[c][:-1] = flat[self.colors[c]]
 
@@ -144,11 +170,7 @@ class ColorPartition:
             flat[self.colors[c]] = self._s_padded[c][:-1]
 
     def neighbor_spin_sum(self, c: int) -> np.ndarray:
-        """Exact integer-valued neighbor sums for color c (fresh gather).
-
-        Sums of at most four +-1/0 values are exact in float64, so the
-        order of the adds cannot change the result.
-        """
+        """Exact int8 neighbor sums in [-4, 4] for color c (fresh gather)."""
         s, nbr = self._s_padded[1 - c], self.packed_nbr[c]
         out = s.take(nbr[0])
         for d in (1, 2, 3):
@@ -165,13 +187,23 @@ def gibbs_sweep(lat: IsingLattice, part: ColorPartition, rng_buffer: DeviateBuff
     """One full Gibbs sweep: update color 0 against frozen color 1, then color 1.
 
     Node i becomes +1 iff u_i < conditional_prob(z_i), with u_i assigned by
-    packed index before the color's update.  The lattice grid is synced on
-    return.
+    packed index before the color's update; the probability is looked up
+    in the partition's table at the node's base index plus its neighbor
+    sum.  The lattice grid is synced on return.  Raises ValueError if
+    `part` was built from another lattice or `lat.w` has changed since.
     """
+    if lat is not part.lattice:
+        raise ValueError("partition was built from another lattice")
+    if lat.w != part.coupling:
+        raise ValueError(f"coupling changed from {part.coupling} to {lat.w} "
+                         "since the partition was built")
     for c in (0, 1):
-        z = part.packed_b[c] + lat.w * part.neighbor_spin_sum(c)
-        u = rng_buffer.take(z.size)
-        part.packed_s[c][:] = np.where(u < conditional_prob(z), 1.0, -1.0)
+        idx = part.base[c] + part.neighbor_spin_sum(c)
+        u = rng_buffer.take(idx.size)
+        s = part.packed_s[c]
+        np.less(u, part.table[c].take(idx), out=s.view(np.bool_))
+        s *= 2  # {0, 1} -> {-1, +1}
+        s -= 1
     part.unpack_into(lat)
 
 
@@ -191,7 +223,7 @@ def denoise(noisy_image, w: float = 1.0, bias_scale: float = 2.0, sweeps: int = 
         raise ValueError("sweeps and burnin must be >= 0")
     part = color_lattice(lat)
     buf = DeviateBuffer(BufferKind.UNIFORM01, seed=seed)
-    acc = np.zeros(lat.s.shape)
+    acc = np.zeros(lat.s.shape, dtype=np.int32)  # exact spin sums
     kept = 0
     for t in range(sweeps):
         before = lat.s.copy() if trace_out is not None else None

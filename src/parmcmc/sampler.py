@@ -25,13 +25,17 @@ from .rng import BufferKind, DeviateBuffer
 
 __all__ = [
     "GaussianPrior", "ChainConfig", "ChainOutput", "SliceStats",
-    "SliceWidenError", "log_posterior_coord", "slice_moves", "slice_sample_coord",
-    "run_chain", "write_draws_csv",
+    "SliceShrinkError", "SliceWidenError", "log_posterior_coord", "slice_moves",
+    "slice_sample_coord", "run_chain", "write_draws_csv",
 ]
 
 
 class SliceWidenError(RuntimeError):
     """Stepping-out exceeded slice_max_steps: the target is pathological."""
+
+
+class SliceShrinkError(RuntimeError):
+    """Shrinkage found no point above the slice level: the target is pathological."""
 
 
 @dataclass(frozen=True)
@@ -110,9 +114,10 @@ def slice_moves(x0: float, k: int, rng: DeviateBuffer, cfg: ChainConfig):
     Yields each point to evaluate, starting with x0, and must be sent the
     log posterior there; returns the draw.  Stepping-out starts from width
     cfg.slice_width and takes at most cfg.slice_max_steps expansions per
-    side, else raises SliceWidenError.  Only the slice_* fields of cfg are
-    read here.  The generator owns every read of `rng`, so any driver that
-    sends the same values consumes the stream identically.
+    side, else raises SliceWidenError; shrinkage that accepts no point in
+    _MAX_SHRINK tries raises SliceShrinkError.  Only the slice_* fields of
+    cfg are read here.  The generator owns every read of `rng`, so any
+    driver that sends the same values consumes the stream identically.
     """
     # 1 - u lies in (0,1], keeping the level strictly below f0 almost surely
     level = (yield x0) + math.log(1.0 - rng.next())
@@ -140,7 +145,7 @@ def slice_moves(x0: float, k: int, rng: DeviateBuffer, cfg: ChainConfig):
             right = x1
         if right - left < 1e-12 * (1.0 + abs(x0)):
             return x0  # degenerate slice; keep the current point
-    raise RuntimeError(f"slice shrinkage failed to accept (coordinate {k})")
+    raise SliceShrinkError(f"slice shrinkage failed to accept (coordinate {k})")
 
 
 def slice_sample_coord(ws: GlmWorkspace, data: DesignMatrix, prior: GaussianPrior,

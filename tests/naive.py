@@ -3,7 +3,9 @@
 Scalar double loops, brute-force enumeration, and plain finite differences.
 Tests compare the production kernels against these.  One oracle,
 `full_recompute_loglike`, is built on a package kernel; every other one
-touches none of the package's code paths.
+touches none of the package's code paths.  `vector_sweep` evaluates the
+sigmoid per node with scipy's `expit`, the formula the table-driven Ising
+sweep must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 from itertools import product
 
 import numpy as np
+from scipy.special import expit
 
 from parmcmc.glm import loglike
 
@@ -162,4 +165,26 @@ def naive_sweep(s, b, w, deviates: dict[tuple[int, int], float],
             z = naive_z(s, b, w, i, j)
             p = 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
             s[i, j] = 1 if deviates[(i, j)] < p else -1
+    return s
+
+
+def vector_sweep(s, b, w, u) -> np.ndarray:
+    """Checkerboard sweep by the per-node formula expit(b + w * nsum).
+
+    Color 0 takes deviates u[:n0] and color 1 u[n0:], each in row-major
+    order.  Neighbor sums are exact integers, so every float operation is
+    the one a direct evaluation of z_i = b_i + w * n_i makes.
+    """
+    s = np.asarray(s).copy()
+    b = np.asarray(b, dtype=np.float64)
+    h, wd = s.shape
+    color = np.add.outer(np.arange(h), np.arange(wd)) % 2
+    pos = 0
+    for c in (0, 1):
+        p = np.pad(s.astype(np.float64), 1)
+        nsum = p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:]
+        mine = color == c
+        z = b[mine] + w * nsum[mine]
+        s[mine] = np.where(u[pos: pos + z.size] < expit(z), 1, -1)
+        pos += z.size
     return s

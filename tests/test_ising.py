@@ -9,7 +9,7 @@ from parmcmc.ising import (IsingLattice, color_lattice, conditional_prob,
 from parmcmc.rng import BufferKind, DeviateBuffer
 
 from naive import (enumerate_boltzmann, exact_conditional_from_joint,
-                   lattice_edges, naive_sweep, naive_z)
+                   lattice_edges, naive_sweep, naive_z, vector_sweep)
 
 
 def random_lattice(h, w, coupling=0.8, seed=0):
@@ -157,6 +157,73 @@ def test_many_sweeps_match_naive_oracle():
         mapping = _take_deviate_map(lat, part, oracle_buf)
         expected = naive_sweep(expected, lat.b, lat.w, mapping)
         np.testing.assert_array_equal(lat.s, expected)
+
+
+def _denoise_lattice():
+    noisy = flip_noise(synthetic_binary_image(16, 16), 0.1, seed=5)
+    return IsingLattice.from_image(noisy, w=1.0, bias_scale=2.0)
+
+
+def _signed_zero_lattice():
+    lat = random_lattice(6, 7, coupling=-0.6, seed=14)
+    lat.b[:] = 0.0
+    lat.b[::2, 1::2] = -0.0
+    lat.b[:, ::3] = 0.5
+    return lat
+
+
+TABLE_CASES = {
+    "two-valued": _denoise_lattice,
+    "7x9": lambda: random_lattice(7, 9, seed=17),
+    "1x6": lambda: random_lattice(1, 6, seed=18),
+    "6x1": lambda: random_lattice(6, 1, seed=19),
+    "1x1": lambda: random_lattice(1, 1, seed=20),
+    "signed-zero": _signed_zero_lattice,
+    "w=0": lambda: random_lattice(5, 8, coupling=0.0, seed=21),
+    "w<0": lambda: random_lattice(8, 5, coupling=-1.3, seed=22),
+}
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_table_sweeps_match_the_per_node_formula(case):
+    # the table lookup must give the bits of evaluating expit(b + w * n)
+    # at every node, sweep after sweep
+    lat = TABLE_CASES[case]()
+    part = color_lattice(lat)
+    expected = lat.s.copy()
+    buf = DeviateBuffer(BufferKind.UNIFORM01, seed=31)
+    oracle_buf = DeviateBuffer(BufferKind.UNIFORM01, seed=31)
+    for _ in range(40):
+        gibbs_sweep(lat, part, buf)
+        expected = vector_sweep(expected, lat.b, lat.w, oracle_buf.take(lat.s.size))
+        np.testing.assert_array_equal(lat.s, expected)
+    assert lat.s.dtype == np.int8
+
+
+@pytest.mark.parametrize("case", ["two-valued", "7x9", "signed-zero"])
+def test_table_holds_nine_entries_per_distinct_bias(case):
+    part = color_lattice(TABLE_CASES[case]())
+    for c in (0, 1):
+        assert part.table[c].size == 9 * np.unique(part.packed_b[c]).size
+    if case == "two-valued":
+        assert [t.size for t in part.table] == [18, 18]
+
+
+def test_sweep_rejects_a_partition_built_from_another_lattice():
+    lat, other = random_lattice(5, 6, seed=1), random_lattice(5, 6, seed=2)
+    part = color_lattice(lat)
+    before = other.s.copy()
+    with pytest.raises(ValueError, match="another lattice"):
+        gibbs_sweep(other, part, DeviateBuffer(BufferKind.UNIFORM01, seed=3))
+    np.testing.assert_array_equal(other.s, before)
+
+
+def test_sweep_rejects_a_coupling_changed_since_the_build():
+    lat = random_lattice(5, 6, seed=1)
+    part = color_lattice(lat)
+    lat.w = 0.3
+    with pytest.raises(ValueError, match="coupling changed"):
+        gibbs_sweep(lat, part, DeviateBuffer(BufferKind.UNIFORM01, seed=3))
 
 
 def test_sweep_determinism():

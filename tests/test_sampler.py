@@ -4,9 +4,9 @@ import pytest
 from parmcmc import sampler
 from parmcmc.glm import DesignMatrix, ExecPlan, GlmWorkspace, Strategy, loglike, synthetic_logistic
 from parmcmc.rng import BufferKind, DeviateBuffer
-from parmcmc.sampler import (ChainConfig, GaussianPrior, SliceStats, SliceWidenError,
-                             log_posterior_coord, run_chain, slice_sample_coord,
-                             write_draws_csv)
+from parmcmc.sampler import (ChainConfig, GaussianPrior, SliceShrinkError, SliceStats,
+                             SliceWidenError, log_posterior_coord, run_chain, slice_moves,
+                             slice_sample_coord, write_draws_csv)
 
 from naive import full_recompute_loglike, naive_loglike
 
@@ -124,6 +124,23 @@ def test_stepping_out_abort_on_pathological_target():
     with pytest.raises(SliceWidenError):
         slice_sample_coord(ws, data, wide, 0, buf, cfg)
     assert prior is not wide
+
+
+def test_failed_shrinkage_raises_a_typed_error():
+    # only x0 lies on the slice; a slice this wide cannot shrink to the
+    # degenerate width within _MAX_SHRINK tries, so shrinkage gives up
+    buf = DeviateBuffer(BufferKind.UNIFORM01, seed=4)
+    cfg = ChainConfig(n_iter=1, n_burnin=0, slice_width=1e300)
+    moves = slice_moves(0.0, 2, buf, cfg)
+    assert next(moves) == 0.0
+    sent = 0
+    with pytest.raises(SliceShrinkError, match="coordinate 2"):
+        moves.send(0.0)
+        while True:
+            moves.send(-np.inf)
+            sent += 1
+    assert sent == 2 + sampler._MAX_SHRINK - 1  # both ends, then every shrink try
+    assert issubclass(SliceShrinkError, RuntimeError)
 
 
 def test_eval_counter_accumulates():
