@@ -37,17 +37,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bench", help=_DESC["bench"])
-    b.add_argument("--config", help="key=value grid file; overrides inline axis flags")
-    b.add_argument("--N", type=_int_list, help="row counts, comma separated")
-    b.add_argument("--K", type=_int_list, help="column counts, comma separated")
-    b.add_argument("--strategies", type=_str_list,
-                   help="som,mos,plf,plf_chunked,sharded")
-    b.add_argument("--workers", type=_int_list)
-    b.add_argument("--chunks", type=_int_list)
-    b.add_argument("--op", choices=("loglike", "grad"))
-    b.add_argument("--evals", type=int)
-    b.add_argument("--reps", type=int)
-    b.add_argument("--seed", type=int, default=0)
+    # grid settings stay text here: perf parses flags and grid files alike
+    b.add_argument("--config", help="key=value grid file; its keys win, flags fill the rest")
+    b.add_argument("--N", dest="n_rows", help="row counts, comma separated")
+    b.add_argument("--K", dest="n_cols", help="column counts, comma separated")
+    b.add_argument("--strategies", help="som,mos,plf,plf_chunked,sharded")
+    b.add_argument("--workers")
+    b.add_argument("--chunks")
+    b.add_argument("--op", help="loglike or grad")
+    b.add_argument("--evals")
+    b.add_argument("--reps")
+    b.add_argument("--seed")
     b.add_argument("--out", default="bench.csv")
     b.set_defaults(func=cmd_bench)
 
@@ -102,27 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_bench(args) -> int:
-    inline = {}
-    if args.N:
-        inline["n_rows"] = args.N
-    if args.K:
-        inline["n_cols"] = args.K
-    if args.strategies:
-        inline["strategies"] = [glm.Strategy(s) for s in args.strategies]
-    if args.workers:
-        inline["workers"] = args.workers
-    if args.chunks:
-        inline["chunks"] = args.chunks
-    for key in ("op", "evals", "reps"):
-        if getattr(args, key) is not None:
-            inline[key] = getattr(args, key)
-    inline["seed"] = args.seed
+    settings = {k: v for k, v in vars(args).items() if k in perf._PARSERS and v is not None}
     if args.config:
-        cfg = perf.parse_grid_config(args.config)  # config wins over inline flags
-    else:
-        if "n_rows" not in inline or "n_cols" not in inline:
-            raise ValueError("need --N and --K (or --config)")
-        cfg = perf.GridConfig(**inline)
+        settings.update(perf._read_grid_file(args.config))  # the file's keys win
+    elif not {"n_rows", "n_cols"} <= settings.keys():
+        raise ValueError("need --N and --K (or --config)")
+    cfg = perf._grid_config(settings)
     records, failures = perf.run_grid(cfg)
     perf.write_bench_csv(records, args.out, hw=cfg.hw, failures=failures)
     for cell, msg in failures:

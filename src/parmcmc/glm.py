@@ -200,6 +200,17 @@ def _nll_sum(t: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     return -(s_t - yt + 0.5 * (s_abs - s_t) + a.sum(axis=-1))
 
 
+def _shifted_loglike(xbeta, xk, y, rows, d) -> float | np.ndarray:
+    """L over `rows` with coordinate k moved by d, counting its flops.
+
+    The one kernel of diff_loglike's row slices and hb's lockstep (G, n) blocks
+    (d a (G, 1) column); it gathers the rows itself, freeing the copies before _nll_sum.
+    """
+    t = xbeta[rows] + d * xk[rows]
+    counters.add_flops(t.size * _DIFF_FLOPS)
+    return _nll_sum(t, y[rows])
+
+
 def _nll_row(t: float, y: float) -> float:
     if t >= 0.0:
         lse = math.log1p(math.exp(-t))
@@ -397,13 +408,12 @@ def diff_loglike(ws: GlmWorkspace, data: DesignMatrix, k: int, delta_beta_k: flo
         raise ValueError("delta_beta_k must be finite")
     if data.n_rows != ws.n_rows or data.n_cols != ws.n_cols:
         raise ValueError("workspace/data shape mismatch")
-    counters.add_flops(ws.n_rows * _DIFF_FLOPS)
     xk = ws.xt[k]
     y = data.y
 
     def task(a, b):
         def run():
-            return _nll_sum(ws.xbeta[a:b] + delta_beta_k * xk[a:b], y[a:b]), None
+            return _shifted_loglike(ws.xbeta, xk, y, slice(a, b), delta_beta_k), None
         return run
 
     workers = min(plan.workers, max(1, ws.n_rows // _DIFF_MIN_ROWS))

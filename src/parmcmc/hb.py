@@ -42,9 +42,8 @@ from enum import Enum
 import numpy as np
 
 from . import parallel
-from .glm import (_DIFF_FLOPS, DesignMatrix, ExecPlan, GlmWorkspace, Strategy, _nll_sum,
-                  commit_update, loglike, synthetic_logistic)
-from .instrumentation import counters
+from .glm import (DesignMatrix, ExecPlan, GlmWorkspace, Strategy, _shifted_loglike, commit_update,
+                  loglike, synthetic_logistic)
 from .perf import REFERENCE_MACHINE, BenchRecord
 from .rng import BufferKind, DeviateBuffer
 from .sampler import ChainConfig, GaussianPrior, SliceStats, slice_moves, slice_sample_coord
@@ -98,20 +97,17 @@ class HbDataset:
         return sum(g.n_rows for g in self.groups)
 
 
-def synthetic_hb_dataset(m_groups: int, n_cols: int, navg: int, seed: int = 0,
-                         prior: GaussianPrior | None = None):
-    """Uniform-size groups with beta_m drawn from the hyperprior.
+def synthetic_hb_dataset(m_groups: int, n_cols: int, navg: int, seed: int = 0):
+    """Uniform-size groups with beta_m drawn from the standard normal hyperprior.
 
     Returns (HbDataset, betas_true) with betas_true of shape (M, K).
     """
-    if prior is None:
-        prior = GaussianPrior.isotropic(n_cols)
     groups = []
     betas = np.empty((m_groups, n_cols))
     for m in range(m_groups):
         ss = np.random.SeedSequence(seed, spawn_key=(m,))
         gen = np.random.default_rng(ss)
-        beta_m = prior.mu + prior.sigma * gen.standard_normal(n_cols)
+        beta_m = gen.standard_normal(n_cols)
         child_seed = int(gen.integers(2 ** 63))
         data, _ = synthetic_logistic(navg, n_cols, seed=child_seed, beta=beta_m)
         groups.append(data)
@@ -185,9 +181,9 @@ def _sweep_lockstep(bucket: _Bucket, prior: GaussianPrior) -> int:
 
     For each coordinate every group runs its own `slice_moves`.  Each round
     evaluates the points of all groups still stepping out or shrinking as
-    (active, n) blocks of at most _BLOCK_ELEMS elements, with the expression
-    diff_loglike and log_posterior_coord use per group, so each group sees
-    the same bits.  A group leaves the round set when it commits its draw,
+    (active, n) blocks of at most _BLOCK_ELEMS elements through
+    glm._shifted_loglike, the kernel diff_loglike runs per group, so each group
+    sees the same bits.  A group leaves the round set when it commits its draw,
     so the rows still read from the live X.beta block are never mid-update.
     """
     wss, xb, y = bucket.workspaces, bucket.xbeta, bucket.y
@@ -203,9 +199,8 @@ def _sweep_lockstep(bucket: _Bucket, prior: GaussianPrior) -> int:
             d = x[active] - x0[active]
             f = prior.logpdf_coord(k, x0[active] + d)
             for j in range(0, active.size, rows):
-                a = active[j:j + rows]
-                f[j:j + rows] += _nll_sum(xb[a] + d[j:j + rows, None] * xk[a], y[a])
-            counters.add_flops(active.size * y.shape[1] * _DIFF_FLOPS)
+                f[j:j + rows] += _shifted_loglike(xb, xk, y, active[j:j + rows],
+                                                  d[j:j + rows, None])
             evals += active.size
             stepping = []
             for i, fi in zip(active, f):

@@ -21,8 +21,7 @@ evaluates conditional_prob once for each, into a table of
 9 * (distinct biases) entries per color, and a half-update looks its
 probabilities up by exact integer index.  The table snapshots the coupling
 w at build time.  The joint distribution these conditionals leave
-invariant is P(s) ~ exp((b.s + w * sum_edges s_i s_j)/2), which
-`IsingLattice.log_weight` exposes for exact small-lattice checks.
+invariant is P(s) ~ exp((b.s + w * sum_edges s_i s_j)/2).
 
 Uniform deviates are pre-assigned to nodes by packed index *before* a
 color updates, so the intra-color update order is immaterial and the
@@ -44,11 +43,11 @@ __all__ = [
 
 
 class IsingLattice:
-    """Spin grid (int8, values +-1) with a bias grid and uniform coupling."""
+    """Spin grid (int8, values +-1), its own copy of a bias grid, uniform coupling."""
 
     def __init__(self, s, b, w: float):
         s = np.asarray(s)
-        b = np.ascontiguousarray(b, dtype=np.float64)
+        b = np.array(b, dtype=np.float64, order="C")
         if s.ndim != 2 or s.size == 0:
             raise ValueError(f"spin grid must be non-empty 2-D, got shape {s.shape}")
         if b.shape != s.shape:
@@ -80,17 +79,6 @@ class IsingLattice:
         spins = 2 * image01.astype(np.int8) - 1
         return cls(spins, bias_scale * spins.astype(np.float64), w)
 
-    def log_weight(self, s=None) -> float:
-        """log of the unnormalized stationary probability of state s.
-
-        (b.s + w * sum over lattice edges of s_i s_j) / 2 -- the joint whose
-        single-site conditionals are conditional_prob(z_i).
-        """
-        s = self.s if s is None else np.asarray(s)
-        sf = s.astype(np.float64)
-        pair = float(np.sum(sf[:-1, :] * sf[1:, :]) + np.sum(sf[:, :-1] * sf[:, 1:]))
-        return 0.5 * (float(np.sum(self.b * sf)) + self.w * pair)
-
 
 def conditional_prob(z):
     """P(s_i = +1) = 1/(1 + exp(-z)), overflow-safe; scalar or array."""
@@ -118,7 +106,8 @@ class ColorPartition:
     the node directly.  The table snapshots the lattice's w (kept as
     `coupling`) as packed_b snapshots its biases, so a partition serves
     only the lattice it was built from (kept as `lattice`), at the
-    coupling it had then.
+    coupling it had then.  The build makes lat.b (kept as `biases`)
+    read-only, so an in-place bias edit raises instead of going unseen.
     """
 
     def __init__(self, lat: IsingLattice):
@@ -134,6 +123,8 @@ class ColorPartition:
             i, j = np.divmod(first_c, w)
             self.colors.append(first_c + ((i + j + c) & 1))
 
+        self.biases = lat.b
+        self.biases.setflags(write=False)
         flat_b = lat.b.ravel()
         self.packed_b = [flat_b[self.colors[c]] for c in (0, 1)]
         # padded spin arrays: slot n_c is the sentinel and stays 0
@@ -189,14 +180,19 @@ def gibbs_sweep(lat: IsingLattice, part: ColorPartition, rng_buffer: DeviateBuff
     Node i becomes +1 iff u_i < conditional_prob(z_i), with u_i assigned by
     packed index before the color's update; the probability is looked up
     in the partition's table at the node's base index plus its neighbor
-    sum.  The lattice grid is synced on return.  Raises ValueError if
-    `part` was built from another lattice or `lat.w` has changed since.
+    sum.  The partition's packed spins are the chain's state and the
+    lattice grid is an output, overwritten on return: spins edited
+    between sweeps are lost unless `part.pack_from(lat)` is called first.
+    Raises ValueError if `part` was built from another lattice, or `lat.w`
+    has changed or `lat.b` been replaced since.
     """
     if lat is not part.lattice:
         raise ValueError("partition was built from another lattice")
     if lat.w != part.coupling:
         raise ValueError(f"coupling changed from {part.coupling} to {lat.w} "
                          "since the partition was built")
+    if lat.b is not part.biases:
+        raise ValueError("biases replaced since the partition was built")
     for c in (0, 1):
         idx = part.base[c] + part.neighbor_spin_sum(c)
         u = rng_buffer.take(idx.size)
@@ -318,8 +314,7 @@ def write_pbm(path, image01, fmt: str = "P4") -> None:
         raise ValueError(f"fmt must be 'P1' or 'P4', got {fmt!r}")
 
 
-def synthetic_binary_image(height: int, width: int, kind: str = "two_region",
-                           seed: int = 0) -> np.ndarray:
+def synthetic_binary_image(height: int, width: int, kind: str = "two_region") -> np.ndarray:
     """Deterministic {0,1} test images.
 
     kinds: "two_region" (vertical half split plus an offset rectangle of

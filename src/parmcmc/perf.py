@@ -201,9 +201,48 @@ def write_bench_csv(records: list[BenchRecord], path,
             writer.writerow([f"{cell} [failed: {msg}]"] + [""] * 7)
 
 
-_LIST_KEYS = {"n_rows", "n_cols", "workers", "chunks", "strategies"}
+def _ints(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
+
+
+def _hw_number(text: str) -> int | float:
+    return float(text) if "." in text else int(text)
+
+
+#: each grid key's one text parser, shared by grid files and `parmcmc bench` flags
+_PARSERS = {
+    "n_rows": _ints, "n_cols": _ints, "workers": _ints, "chunks": _ints,
+    "strategies": lambda text: [Strategy(v.strip().lower()) for v in text.split(",")],
+    "op": str.lower, "evals": int, "reps": int, "warmup": int, "seed": int,
+    **{f.name: float if f.name.endswith("_ghz") else _hw_number
+       for f in fields(HardwareDescriptor)},
+}
 _KEY_ALIASES = {"n": "n_rows", "k": "n_cols", "strategy": "strategies", "nchunks": "chunks"}
-_HW_KEYS = {f.name for f in fields(HardwareDescriptor)}
+
+
+def _read_grid_file(path) -> dict[str, str]:
+    """A grid file's settings as {grid key: value text}, aliases resolved."""
+    settings = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key = value, got {raw.rstrip()!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            key = _KEY_ALIASES.get(key.lower(), key.lower())
+            if key not in _PARSERS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            settings[key] = value
+    return settings
+
+
+def _grid_config(settings: dict[str, str]) -> GridConfig:
+    """A GridConfig from {grid key: value text}; its defaults fill the other keys."""
+    kwargs = {key: _PARSERS[key](text) for key, text in settings.items()}
+    hw = {f.name: kwargs.pop(f.name) for f in fields(HardwareDescriptor) if f.name in kwargs}
+    return GridConfig(hw=replace(REFERENCE_MACHINE, **hw), **kwargs)
 
 
 def parse_grid_config(path) -> GridConfig:
@@ -219,32 +258,7 @@ def parse_grid_config(path) -> GridConfig:
         evals = 5
         cpu_clock_ghz = 2.6
     """
-    cfg_kwargs: dict = {}
-    hw_kwargs: dict = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value, got {raw.rstrip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = _KEY_ALIASES.get(key.lower(), key.lower())
-            if key in _HW_KEYS:
-                hw_kwargs[key] = float(value) if "." in value or "ghz" in key else int(value)
-            elif key == "strategies":
-                cfg_kwargs[key] = [Strategy(v.strip().lower()) for v in value.split(",")]
-            elif key in _LIST_KEYS:
-                cfg_kwargs[key] = [int(v) for v in value.split(",")]
-            elif key == "op":
-                cfg_kwargs[key] = value.lower()
-            elif key in ("evals", "reps", "warmup", "seed"):
-                cfg_kwargs[key] = int(value)
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-    if hw_kwargs:
-        cfg_kwargs["hw"] = replace(REFERENCE_MACHINE, **hw_kwargs)
-    return GridConfig(**cfg_kwargs)
+    return _grid_config(_read_grid_file(path))
 
 
 def region_overhead_probe(workers: int, reps: int = 200) -> float:

@@ -54,6 +54,28 @@ def test_bench_config_file_wins(tmp_path):
     assert len(rows) == 1 and rows[0].split(",")[1] == "200"
 
 
+def _grid_without_op_or_seed(tmp_path):
+    cfgfile = tmp_path / "grid.cfg"
+    cfgfile.write_text("N = 200\nK = 3\nstrategies = plf\nworkers = 1\nevals = 2\nreps = 2\n")
+    return str(cfgfile)
+
+
+def test_bench_op_flag_fills_a_config_file_without_op(tmp_path):
+    out = tmp_path / "g.csv"
+    assert cli.main(["bench", "--config", _grid_without_op_or_seed(tmp_path),
+                     "--op", "grad", "--out", str(out)]) == 0
+    _, rows = read_csv_rows(out)
+    assert rows and all(r.startswith("grad/") for r in rows)
+
+
+def test_bench_seed_flag_fills_a_config_file_without_seed(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(perf, "run_grid", lambda cfg: seen.append(cfg) or ([], []))
+    assert cli.main(["bench", "--config", _grid_without_op_or_seed(tmp_path), "--seed", "5",
+                     "--evals", "9", "--out", str(tmp_path / "s.csv")]) == 0
+    assert seen[0].seed == 5 and seen[0].evals == 2  # the file's evals win
+
+
 def test_bench_bad_config_is_input_error(tmp_path):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("nonsense = 1\n")

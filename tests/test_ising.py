@@ -226,6 +226,22 @@ def test_sweep_rejects_a_coupling_changed_since_the_build():
         gibbs_sweep(lat, part, DeviateBuffer(BufferKind.UNIFORM01, seed=3))
 
 
+def test_lattice_owns_its_biases_and_the_partition_freezes_them():
+    # a bias edit after the build would leave the table's snapshot stale
+    b = np.full((8, 8), 50.0)
+    lat = IsingLattice(-np.ones((8, 8), dtype=np.int8), b, w=0.0)
+    assert not np.shares_memory(lat.b, b)
+    part = color_lattice(lat)
+    with pytest.raises(ValueError, match="read-only"):
+        lat.b[:] = -50.0
+    buf = DeviateBuffer(BufferKind.UNIFORM01, seed=3)
+    gibbs_sweep(lat, part, buf)
+    assert (lat.s == 1).all()
+    lat.b = np.full((8, 8), -50.0)
+    with pytest.raises(ValueError, match="biases replaced"):
+        gibbs_sweep(lat, part, buf)
+
+
 def test_sweep_determinism():
     results = []
     for _ in range(2):
