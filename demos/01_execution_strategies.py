@@ -1,21 +1,19 @@
 """Interchangeable execution strategies for one log-likelihood.
 
-The same reduction runs as a sequence of maps (SOM), a fully fused per-row
-loop (MOS), partial loop fusion (PLF), cache-chunked PLF, and a sharded
-layout -- same value, different movement of data and workers.
+The same reduction runs as a sequence of maps (SOM), partial loop fusion
+(PLF), cache-chunked PLF, and SHARDED (PLF under another name) -- same
+value, different movement of data and workers.
 """
 
 import time
 
 import numpy as np
 
-from parmcmc import ExecPlan, Strategy, loglike, loglike_grad, make_sharded, synthetic_logistic
+from parmcmc import ExecPlan, Strategy, loglike, loglike_grad, synthetic_logistic
 from parmcmc.perf import REFERENCE_MACHINE, compute_min_cpr, memory_min_cpr
 
 N, K = 200_000, 50
 data, beta = synthetic_logistic(N, K, seed=0)
-# shard once, up front: per-shard private blocks are the point of the layout
-sharded_view = make_sharded(data, 4)
 
 print(f"logistic log-likelihood, N={N}, K={K}")
 print(f"roofline context: compute bound {compute_min_cpr(REFERENCE_MACHINE, K):.2f} CPR, "
@@ -25,13 +23,10 @@ reference = loglike(data, beta)
 print(f"{'strategy':<14}{'workers':>8}{'value':>18}{'ms/eval':>10}{'CPR*':>8}")
 for strategy in Strategy:
     for workers in (1, 4):
-        if strategy is Strategy.MOS and N > 50_000:
-            continue  # the per-row reference shape is for reading, not racing
         plan = ExecPlan(strategy, workers=workers, n_chunks=8)
-        target = sharded_view if strategy is Strategy.SHARDED else data
-        loglike(target, beta, plan)  # warm-up
+        loglike(data, beta, plan)  # warm-up
         t0 = time.perf_counter()
-        value = loglike(target, beta, plan)
+        value = loglike(data, beta, plan)
         ms = (time.perf_counter() - t0) * 1e3
         cpr = 2.6e9 * ms / 1e3 / N
         drift = abs(value - reference) / abs(reference)

@@ -15,9 +15,9 @@ Subpackages by capability:
 * `cli`      the `parmcmc` command-line front end
 """
 
-from .glm import (DesignMatrix, ExecPlan, GlmWorkspace, GradResult, ShardedMatrix,
-                  Strategy, commit_update, diff_loglike, load_design_csv, loglike,
-                  loglike_grad, make_sharded, synthetic_logistic)
+from .glm import (DesignMatrix, ExecPlan, GlmWorkspace, GradResult, Strategy,
+                  commit_update, diff_loglike, load_design_csv, loglike, loglike_grad,
+                  synthetic_logistic)
 from .hb import (HbDataset, HbState, MappingMode, MappingPolicy, hb_benchmark,
                  hb_sweep, synthetic_hb_dataset)
 from .ising import (ColorPartition, IsingLattice, color_lattice, conditional_prob,

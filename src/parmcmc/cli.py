@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--config", help="key=value grid file; its keys win, flags fill the rest")
     b.add_argument("--N", dest="n_rows", help="row counts, comma separated")
     b.add_argument("--K", dest="n_cols", help="column counts, comma separated")
-    b.add_argument("--strategies", help="som,mos,plf,plf_chunked,sharded")
+    b.add_argument("--strategies", help="som,plf,plf_chunked,sharded")
     b.add_argument("--workers")
     b.add_argument("--chunks")
     b.add_argument("--op", help="loglike or grad")

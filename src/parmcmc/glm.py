@@ -6,22 +6,21 @@ The same two reductions,
     g(beta)   = X' gf,   gf_n = y_n - 1 / (1 + exp(-t_n)),
 
 are offered under interchangeable execution strategies.  A strategy is only
-a block layout, the (x, y) row blocks each worker walks; one evaluator runs
-them all:
+a block layout, the (x, y) row blocks each worker walks, all views of one
+DesignMatrix; one evaluator runs them all:
 
 * SOM          sequence of maps: a full-length X.beta intermediate is
                materialized in a region of its own before a second region
                runs the transcendental reduction over it.
-* MOS          map of sequences: each worker walks its rows one at a time
-               with scalar math (the fully fused, cache-oblivious reference).
 * PLF          partial loop fusion: each worker runs the whole map sequence
                over its contiguous row block.
 * PLF_CHUNKED  PLF with each worker's block processed in n_chunks
                cache-sized pieces (chunked matvec -> fused transcendental ->
                chunked transposed matvec), still merging once per worker.
-* SHARDED      PLF over per-worker views of a DesignMatrix; a make_sharded()
-               view walks private per-shard copies instead, the portable
-               essence of a socket-local data split.
+* SHARDED      PLF under another name: one contiguous block per worker.
+
+No memory is placed per socket: every worker reads the caller's X, since a
+shard copy made by the calling thread would be first-touched onto its node.
 
 All strategies produce the same values up to floating-point reassociation
 (<= 1e-8 relative), and a fixed plan on fixed input is bit-deterministic:
@@ -48,15 +47,16 @@ from . import parallel
 from .instrumentation import counters
 
 __all__ = [
-    "Strategy", "ExecPlan", "DesignMatrix", "Shard", "ShardedMatrix",
-    "GradResult", "GlmWorkspace", "make_sharded", "loglike", "loglike_grad",
-    "diff_loglike", "commit_update", "load_design_csv", "synthetic_logistic",
+    "Strategy", "ExecPlan", "DesignMatrix", "GradResult", "GlmWorkspace",
+    "loglike", "loglike_grad", "diff_loglike", "commit_update", "load_design_csv",
+    "synthetic_logistic",
 ]
 
 
 class Strategy(Enum):
+    """A block layout of the full evaluation; SHARDED is PLF under another name."""
+
     SOM = "som"
-    MOS = "mos"
     PLF = "plf"
     PLF_CHUNKED = "plf_chunked"
     SHARDED = "sharded"
@@ -109,53 +109,6 @@ class DesignMatrix:
     @property
     def n_cols(self) -> int:
         return self.x.shape[1]
-
-
-@dataclass(frozen=True)
-class Shard:
-    """One contiguous row block, privately allocated."""
-
-    x: np.ndarray
-    y: np.ndarray
-    row_offset: int
-
-
-class ShardedMatrix:
-    """Row partition of a DesignMatrix into per-shard private copies."""
-
-    def __init__(self, shards: list[Shard], n_cols: int):
-        self.shards = shards
-        self._n_cols = n_cols
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.shards)
-
-    @property
-    def n_rows(self) -> int:
-        return sum(s.x.shape[0] for s in self.shards)
-
-    @property
-    def n_cols(self) -> int:
-        return self._n_cols
-
-
-def make_sharded(data: DesignMatrix, n_shards: int) -> ShardedMatrix:
-    """Copy contiguous, near-equal row blocks into per-shard allocations.
-
-    Sizes differ by at most one row; the larger shards come first.
-    """
-    if not 1 <= n_shards <= data.n_rows:
-        raise ValueError(f"n_shards must be in [1, {data.n_rows}], got {n_shards}")
-    shards = []
-    for start, stop in parallel.partition(data.n_rows, n_shards):
-        # explicit copies: each shard owns its block, never the master array
-        shards.append(Shard(
-            x=data.x[start:stop].copy(),
-            y=data.y[start:stop].copy(),
-            row_offset=start,
-        ))
-    return ShardedMatrix(shards, data.n_cols)
 
 
 @dataclass
@@ -211,21 +164,6 @@ def _shifted_loglike(xbeta, xk, y, rows, d) -> float | np.ndarray:
     return _nll_sum(t, y[rows])
 
 
-def _nll_row(t: float, y: float) -> float:
-    if t >= 0.0:
-        lse = math.log1p(math.exp(-t))
-    else:
-        lse = -t + math.log1p(math.exp(t))
-    return -((1.0 - y) * t + lse)
-
-
-def _sigmoid_row(t: float) -> float:
-    if t >= 0.0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
-
-
 def _check_beta(beta, n_cols: int) -> np.ndarray:
     beta = np.ascontiguousarray(beta, dtype=np.float64)
     if beta.shape != (n_cols,):
@@ -247,29 +185,14 @@ def _block_eval(x, y, beta, g, t=None) -> float:
     return _nll_sum(t, y)
 
 
-def _rows_eval(x, y, beta, g, t=None) -> float:
-    """MOS twin of _block_eval: one row at a time with scalar math (t unused)."""
-    f = 0.0
-    for i in range(x.shape[0]):
-        ti = float(np.dot(x[i], beta))
-        f += _nll_row(ti, y[i])
-        if g is not None:
-            g += (y[i] - _sigmoid_row(ti)) * x[i]
-    return f
-
-
 def _worker_blocks(data, plan: ExecPlan) -> list[list[tuple[np.ndarray, np.ndarray]]]:
     """Each worker's list of (x, y) row blocks, all views of the data.
 
-    A ShardedMatrix deals its shards round-robin: worker w holds shards w,
-    w + workers, ...  A DesignMatrix gives each worker its parallel.partition
-    block, which PLF_CHUNKED cuts again with parallel.partition into n_chunks
-    cache-sized pieces.  Both cuts follow one rule, so a worker block, like a
-    chunk, is empty wherever the pieces outnumber the rows.
+    Each worker gets its parallel.partition block, which PLF_CHUNKED cuts
+    again with parallel.partition into n_chunks cache-sized pieces.  Both
+    cuts follow one rule, so a worker block, like a chunk, is empty wherever
+    the pieces outnumber the rows.
     """
-    if isinstance(data, ShardedMatrix):
-        return [[(s.x, s.y) for s in data.shards[w::plan.workers]]
-                for w in range(plan.workers)]
     n_chunks = plan.n_chunks if plan.strategy is Strategy.PLF_CHUNKED else 1
     return [[(data.x[start + a:start + b], data.y[start + a:start + b])
              for a, b in parallel.partition(stop - start, n_chunks)]
@@ -296,14 +219,11 @@ def _evaluate(data, beta, plan: ExecPlan, grad: bool) -> tuple[float, np.ndarray
     """L(beta), and its gradient if `grad`, over the plan's block layout.
 
     One region with private per-worker accumulators; SOM first spends a region
-    of its own materializing X.beta.  A ShardedMatrix always evaluates fused,
-    shard by shard, whatever the plan's strategy.
+    of its own materializing X.beta.
     """
     blocks = _worker_blocks(data, plan)
-    strategy = plan.strategy if isinstance(data, DesignMatrix) else Strategy.SHARDED
-    kernel = _rows_eval if strategy is Strategy.MOS else _block_eval
     ts = [[None] * len(bl) for bl in blocks]
-    if strategy is Strategy.SOM:
+    if plan.strategy is Strategy.SOM:
         # sequence of maps: the full X.beta intermediate gets a region of its own
         ts = parallel.run_region([lambda bl=bl: [x @ beta for x, _ in bl] for bl in blocks])
 
@@ -312,7 +232,7 @@ def _evaluate(data, beta, plan: ExecPlan, grad: bool) -> tuple[float, np.ndarray
             g = np.zeros(data.n_cols) if grad else None
             f = 0.0
             for (x, y), t in zip(bl, bl_ts):
-                f += kernel(x, y, beta, g, t)
+                f += _block_eval(x, y, beta, g, t)
             return f, g
         return run
 
@@ -320,18 +240,14 @@ def _evaluate(data, beta, plan: ExecPlan, grad: bool) -> tuple[float, np.ndarray
                          data.n_cols if grad else None)
 
 
-def loglike(data, beta, plan: ExecPlan = ExecPlan()) -> float:
-    """L(beta) under the plan's strategy; value is strategy-invariant.
-
-    `data` may be a DesignMatrix or a ShardedMatrix (the latter always
-    evaluates shard-wise).
-    """
+def loglike(data: DesignMatrix, beta, plan: ExecPlan = ExecPlan()) -> float:
+    """L(beta) under the plan's strategy; value is strategy-invariant."""
     beta = _check_beta(beta, data.n_cols)
     counters.add_flops(data.n_rows * (2 * data.n_cols + _TR_FLOPS))
     return _evaluate(data, beta, plan, grad=False)[0]
 
 
-def loglike_grad(data, beta, plan: ExecPlan = ExecPlan()) -> GradResult:
+def loglike_grad(data: DesignMatrix, beta, plan: ExecPlan = ExecPlan()) -> GradResult:
     """L(beta) and its gradient X' (y - sigmoid(X beta)); strategy-invariant."""
     beta = _check_beta(beta, data.n_cols)
     counters.add_flops(data.n_rows * (4 * data.n_cols + _TR_GRAD_FLOPS))
@@ -398,10 +314,11 @@ def diff_loglike(ws: GlmWorkspace, data: DesignMatrix, k: int, delta_beta_k: flo
     """L at beta_current with coordinate k shifted by delta, touching only column k.
 
     Reads the maintained X.beta and one contiguous row of the transpose;
-    never mutates the workspace.  plan.workers is an upper bound: the rows
-    split only as far as every worker gets _DIFF_MIN_ROWS of them, so a
-    smaller evaluation runs as one block on the calling thread, where a
-    fork would cost more than the rows it shares out.
+    never mutates the workspace.  Of the plan only workers is read, as an
+    upper bound (strategy and n_chunks do not apply to a one-column update):
+    the rows split only as far as every worker gets _DIFF_MIN_ROWS of them,
+    so a smaller evaluation runs as one block on the calling thread, where
+    a fork would cost more than the rows it shares out.
     """
     _check_coord(ws, k)
     if not math.isfinite(delta_beta_k):

@@ -240,7 +240,12 @@ def _read_grid_file(path) -> dict[str, str]:
 
 def _grid_config(settings: dict[str, str]) -> GridConfig:
     """A GridConfig from {grid key: value text}; its defaults fill the other keys."""
-    kwargs = {key: _PARSERS[key](text) for key, text in settings.items()}
+    kwargs = {}
+    for key, text in settings.items():
+        try:
+            kwargs[key] = _PARSERS[key](text)
+        except ValueError as exc:
+            raise ValueError(f"{key} = {text!r}: {exc}") from None
     hw = {f.name: kwargs.pop(f.name) for f in fields(HardwareDescriptor) if f.name in kwargs}
     return GridConfig(hw=replace(REFERENCE_MACHINE, **hw), **kwargs)
 

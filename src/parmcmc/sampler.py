@@ -99,7 +99,8 @@ def log_posterior_coord(ws: GlmWorkspace, data: DesignMatrix, prior: GaussianPri
     """Conditional log posterior of beta_k at beta_current[k] + delta.
 
     Likelihood through diff_loglike, plus the prior's k-term; constants in
-    beta_k are dropped.
+    beta_k are dropped.  Of `plan` only workers is read, as an upper bound;
+    strategy and n_chunks do not apply to a one-column update.
     """
     ll = diff_loglike(ws, data, k, delta, plan)
     return ll + prior.logpdf_coord(k, ws.beta_current[k] + delta)
@@ -154,7 +155,8 @@ def slice_sample_coord(ws: GlmWorkspace, data: DesignMatrix, prior: GaussianPrio
                        stats: SliceStats | None = None) -> float:
     """Draw beta_k from its conditional posterior and commit it to the workspace.
 
-    Drives `slice_moves` with one log_posterior_coord evaluation per point.
+    Drives `slice_moves` with one log_posterior_coord evaluation per point;
+    of `plan` only workers is read (an upper bound), never strategy or n_chunks.
     """
     stats = stats if stats is not None else SliceStats()
     x0 = float(ws.beta_current[k])
@@ -178,7 +180,8 @@ def run_chain(data: DesignMatrix, prior: GaussianPrior, cfg: ChainConfig,
     cfg.seed-keyed uniform buffer (used to splice a chain into an
     externally managed stream, e.g. a hierarchical per-group stream).
     With debug=True the workspace is recomputed every 100 iterations and
-    checked to 1e-8 per element.
+    checked to 1e-8 per element.  Of `plan` only workers is read, as an
+    upper bound; strategy and n_chunks do not apply to one-column updates.
     """
     if prior.mu.shape != (data.n_cols,):
         raise ValueError(f"prior has {prior.mu.shape[0]} coordinates, data has {data.n_cols}")

@@ -82,6 +82,23 @@ def test_bench_bad_config_is_input_error(tmp_path):
     assert cli.main(["bench", "--config", str(cfgfile)]) == 2
 
 
+def test_bench_removed_strategy_names_its_key(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    assert cli.main(["bench", "--N", "10", "--K", "2", "--strategies", "mos",
+                     "--out", out]) == 2
+    assert "strategies = 'mos'" in capsys.readouterr().err
+    cfgfile = tmp_path / "mos.cfg"
+    cfgfile.write_text("N = 10\nK = 2\nstrategies = mos\n")
+    assert cli.main(["bench", "--config", str(cfgfile), "--out", out]) == 2
+    assert "strategies = 'mos'" in capsys.readouterr().err
+
+
+def test_bench_bad_value_names_its_key(tmp_path, capsys):
+    assert cli.main(["bench", "--N", "10", "--K", "2", "--evals", "x",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+    assert "evals = 'x'" in capsys.readouterr().err
+
+
 def test_bench_internal_error_returns_one(tmp_path, monkeypatch):
     def boom(cfg):
         raise RuntimeError("kaput")

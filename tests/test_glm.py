@@ -6,7 +6,7 @@ import pytest
 
 from parmcmc.glm import (_DIFF_MIN_ROWS, DesignMatrix, ExecPlan, GlmWorkspace, Strategy,
                          _nll_sum, commit_update, diff_loglike, load_design_csv, loglike,
-                         loglike_grad, make_sharded, synthetic_logistic)
+                         loglike_grad, synthetic_logistic)
 from parmcmc.instrumentation import counters
 
 from naive import fd_gradient, naive_grad, naive_loglike
@@ -125,13 +125,14 @@ def test_fixed_plan_is_bit_deterministic(strategy):
     assert g1.f == g2.f and np.array_equal(g1.g, g2.g)
 
 
-def test_sharded_view_evaluates_like_flat():
-    data, beta = random_instance(1000, 6, seed=9)
-    view = make_sharded(data, 4)
-    assert rel_err(loglike(view, beta, ExecPlan(workers=2)), loglike(data, beta)) < 1e-8
-    g1 = loglike_grad(view, beta, ExecPlan(workers=3)).g
-    g2 = loglike_grad(data, beta).g
-    np.testing.assert_allclose(g1, g2, rtol=1e-8)
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_sharded_is_plf_bit_for_bit(workers):
+    data, beta = random_instance(501, 7, seed=42)
+    sharded = ExecPlan(Strategy.SHARDED, workers=workers)
+    plf = ExecPlan(Strategy.PLF, workers=workers)
+    assert loglike(data, beta, sharded) == loglike(data, beta, plf)
+    g1, g2 = loglike_grad(data, beta, sharded), loglike_grad(data, beta, plf)
+    assert g1.f == g2.f and np.array_equal(g1.g, g2.g)
 
 
 @pytest.mark.parametrize("op", [loglike, loglike_grad], ids=["loglike", "grad"])
@@ -147,42 +148,6 @@ def test_no_strategy_copies_x_on_design_matrix(op, strategy):
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * data.x.nbytes, (peak, data.x.nbytes)
-
-
-# ---------------------------------------------------------------------------
-# sharding layout
-# ---------------------------------------------------------------------------
-
-def test_make_sharded_even_split():
-    data, _ = random_instance(4, 2, seed=0)
-    view = make_sharded(data, 2)
-    assert [s.x.shape[0] for s in view.shards] == [2, 2]
-    assert [s.row_offset for s in view.shards] == [0, 2]
-    np.testing.assert_array_equal(view.shards[0].x, data.x[:2])
-    np.testing.assert_array_equal(view.shards[1].y, data.y[2:])
-
-
-def test_make_sharded_remainder_goes_first():
-    data, _ = random_instance(5, 2, seed=0)
-    view = make_sharded(data, 2)
-    assert [s.x.shape[0] for s in view.shards] == [3, 2]
-
-
-def test_make_sharded_private_allocations():
-    data, _ = random_instance(10, 3, seed=1)
-    view = make_sharded(data, 3)
-    for s in view.shards:
-        assert not np.shares_memory(s.x, data.x)
-        assert not np.shares_memory(s.y, data.y)
-
-
-def test_make_sharded_bounds():
-    data, _ = random_instance(3, 2, seed=0)
-    with pytest.raises(ValueError):
-        make_sharded(data, 4)
-    with pytest.raises(ValueError):
-        make_sharded(data, 0)
-    assert make_sharded(data, 3).n_shards == 3
 
 
 # ---------------------------------------------------------------------------
