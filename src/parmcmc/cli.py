@@ -130,8 +130,9 @@ def cmd_glm_sample(args) -> int:
     sampler.write_draws_csv(out, args.out)
     means = " ".join(f"{m:.6g}" for m in out.draws.mean(axis=0))
     print(f"posterior_mean: {means}")
-    print(f"draws={out.draws.shape[0]} evals={out.accept_evals} wall={out.wall_time:.3f}s "
-          f"-> {args.out}")
+    per_draw = out.accept_evals / (cfg.n_iter * data.n_cols)
+    print(f"draws={out.draws.shape[0]} evals={out.accept_evals} ({per_draw:.2f} per draw) "
+          f"wall={out.wall_time:.3f}s -> {args.out}")
     return 0
 
 

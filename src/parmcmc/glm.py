@@ -127,6 +127,7 @@ class GradResult:
 _TR_FLOPS = 6        # (1-y)*t, softplus split, accumulate
 _TR_GRAD_FLOPS = 8   # adds the sigmoid and its subtraction
 _DIFF_FLOPS = 8      # fused axpy + transcendental
+_SLOPE_FLOPS = 4     # halving, tanh, dot multiply-add
 
 #: rows each diff_loglike worker must get before the evaluation forks; at
 #: K=10 on 2 vCPUs one worker beat two up to 40k-50k total rows, and two
@@ -162,6 +163,20 @@ def _shifted_loglike(xbeta, xk, y, rows, d) -> float | np.ndarray:
     t = xbeta[rows] + d * xk[rows]
     counters.add_flops(t.size * _DIFF_FLOPS)
     return _nll_sum(t, y[rows])
+
+
+def _coord_slope(xbeta, xk, xt_dy_k) -> float | np.ndarray:
+    """dL/dbeta_k = x_k . (y - sigmoid(X.beta)) at the maintained X.beta, counting its flops.
+
+    y - sigmoid(t) = (y - 1/2) - tanh(t/2) / 2, so with x_k . (y - 1/2) fixed at
+    workspace build (`xt_dy_k`, GlmWorkspace.xt_dy[k]) one tanh pass and one dot
+    remain.  A (G, n) block with xt_dy_k of shape (G,) returns G slopes, each
+    bit-identical to the 1-D call on its row, as _nll_sum's values are.
+    """
+    h = np.multiply(xbeta, 0.5)
+    counters.add_flops(h.size * _SLOPE_FLOPS)
+    np.tanh(h, out=h)
+    return xt_dy_k - 0.5 * (np.dot(xk, h) if h.ndim == 1 else np.vecdot(xk, h))
 
 
 def _check_beta(beta, n_cols: int) -> np.ndarray:
@@ -261,7 +276,8 @@ def loglike_grad(data: DesignMatrix, beta, plan: ExecPlan = ExecPlan()) -> GradR
 class GlmWorkspace:
     """Maintained X.beta plus the transposed copy backing column access.
 
-    The transpose is built eagerly (X is immutable, so it never refreshes).
+    The transpose is built eagerly (X is immutable, so it never refreshes),
+    and with it xt_dy = X'(y - 1/2), the fixed part of each coordinate's slope.
     Quiescence invariant: xbeta equals a fresh X.beta_current to 1e-10 per
     element whenever no commit is in flight; `validate` checks it.
     """
@@ -286,6 +302,7 @@ class GlmWorkspace:
         xbeta[:] = data.x @ beta0
         xt[:] = data.x.T
         self.xbeta, self.xt = xbeta, xt
+        self.xt_dy = xt @ (data.y - 0.5)
         self._shape = (data.n_rows, data.n_cols)
 
     @property

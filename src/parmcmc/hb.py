@@ -42,8 +42,8 @@ from enum import Enum
 import numpy as np
 
 from . import parallel
-from .glm import (DesignMatrix, ExecPlan, GlmWorkspace, Strategy, _shifted_loglike, commit_update,
-                  loglike, synthetic_logistic)
+from .glm import (DesignMatrix, ExecPlan, GlmWorkspace, Strategy, _coord_slope, _shifted_loglike,
+                  commit_update, loglike, synthetic_logistic)
 from .perf import REFERENCE_MACHINE, BenchRecord
 from .rng import BufferKind, DeviateBuffer
 from .sampler import ChainConfig, GaussianPrior, SliceStats, slice_moves, slice_sample_coord
@@ -135,6 +135,7 @@ class _Bucket:
         self.y = np.stack([g.y for g in groups])
         self.workspaces = [GlmWorkspace._in_storage(g, beta0, self.xbeta[i], self.xt[:, i])
                            for i, g in enumerate(groups)]
+        self.xt_dy = np.stack([ws.xt_dy for ws in self.workspaces], axis=1)  # (K, G)
 
 
 class HbState:
@@ -179,20 +180,29 @@ _BLOCK_ELEMS = 1 << 15
 def _sweep_lockstep(bucket: _Bucket, prior: GaussianPrior) -> int:
     """Sweep one bucket in lockstep; returns the number of evaluations.
 
-    For each coordinate every group runs its own `slice_moves`.  Each round
-    evaluates the points of all groups still stepping out or shrinking as
-    (active, n) blocks of at most _BLOCK_ELEMS elements through
-    glm._shifted_loglike, the kernel diff_loglike runs per group, so each group
-    sees the same bits.  A group leaves the round set when it commits its draw,
-    so the rows still read from the live X.beta block are never mid-update.
+    For each coordinate every group runs its own `slice_moves`, started with
+    the slope of its conditional at the current point: the slopes of all
+    groups come from (G, n) blocks through glm._coord_slope before any
+    generator starts, as slice_sample_coord computes each on its own.  Each
+    round evaluates the points the groups' hulls could not decide, for all
+    groups still stepping out or shrinking, as (active, n) blocks of at most
+    _BLOCK_ELEMS elements through glm._shifted_loglike, the kernel
+    diff_loglike runs per group.  So each group sees the same bits, draws and
+    evaluation count on either path.  A group leaves the round set when it
+    commits its draw, so the rows still read from the live X.beta block are
+    never mid-update.
     """
     wss, xb, y = bucket.workspaces, bucket.xbeta, bucket.y
     rows = max(1, _BLOCK_ELEMS // y.shape[1])
     evals = 0
     for k, xk in enumerate(bucket.xt):
         x0 = np.array([ws.beta_current[k] for ws in wss])
-        moves = [slice_moves(float(b), k, buf, _SWEEP_CFG)
-                 for b, buf in zip(x0, bucket.buffers)]
+        slope0 = prior.slope_coord(k, x0)
+        for j in range(0, len(wss), rows):
+            slope0[j:j + rows] += _coord_slope(xb[j:j + rows], xk[j:j + rows],
+                                               bucket.xt_dy[k, j:j + rows])
+        moves = [slice_moves(float(b), k, buf, _SWEEP_CFG, float(s))
+                 for b, buf, s in zip(x0, bucket.buffers, slope0)]
         x = np.array([next(mv) for mv in moves])
         active = np.arange(len(wss))
         while active.size:

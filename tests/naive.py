@@ -3,7 +3,9 @@
 Scalar double loops, brute-force enumeration, and plain finite differences.
 Tests compare the production kernels against these.  One oracle,
 `full_recompute_loglike`, is built on a package kernel; every other one
-touches none of the package's code paths.  `vector_sweep` evaluates the
+touches none of the package's code paths.  `no_hull_slice_moves` is the
+slice sampler with every test put to an evaluation, the stream a hull's
+decisions must reproduce draw for draw.  `vector_sweep` evaluates the
 sigmoid per node with scipy's `expit`, the formula the table-driven Ising
 sweep must reproduce bit for bit.
 """
@@ -16,6 +18,7 @@ from itertools import product
 import numpy as np
 from scipy.special import expit
 
+from parmcmc import sampler
 from parmcmc.glm import loglike
 
 
@@ -84,6 +87,41 @@ def fd_gradient(func, beta, coords=None, h_scale: float = 1e-6) -> dict[int, flo
         dn[k] -= h
         out[k] = (func(up) - func(dn)) / (2.0 * h)
     return out
+
+
+def no_hull_slice_moves(x0: float, k: int, rng, cfg, slope0: float):
+    """`sampler.slice_moves` without its hull: every test yields its point.
+
+    Takes slope0 and ignores it, so a test can monkeypatch it in place of
+    `sampler.slice_moves` or `hb.slice_moves`.
+    """
+    # 1 - u lies in (0,1], keeping the level strictly below f0 almost surely
+    level = (yield x0) + math.log(1.0 - rng.next())
+
+    width = cfg.slice_width
+    left = x0 - rng.next() * width
+    ends = [left, left + width]
+    for side, step in ((0, -width), (1, width)):
+        steps = 0
+        while (yield ends[side]) > level:
+            ends[side] += step
+            steps += 1
+            if steps > cfg.slice_max_steps:
+                raise sampler.SliceWidenError(
+                    f"stepping-out exceeded {cfg.slice_max_steps} steps (coordinate {k})")
+    left, right = ends
+
+    for _ in range(sampler._MAX_SHRINK):
+        x1 = left + rng.next() * (right - left)
+        if (yield x1) > level:
+            return x1
+        if x1 < x0:
+            left = x1
+        else:
+            right = x1
+        if right - left < 1e-12 * (1.0 + abs(x0)):
+            return x0  # degenerate slice; keep the current point
+    raise sampler.SliceShrinkError(f"slice shrinkage failed to accept (coordinate {k})")
 
 
 # ---------------------------------------------------------------------------

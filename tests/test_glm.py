@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from parmcmc.glm import (_DIFF_MIN_ROWS, DesignMatrix, ExecPlan, GlmWorkspace, Strategy,
-                         _nll_sum, commit_update, diff_loglike, load_design_csv, loglike,
+                         _coord_slope, _nll_sum, commit_update, diff_loglike, load_design_csv, loglike,
                          loglike_grad, synthetic_logistic)
 from parmcmc.instrumentation import counters
 
@@ -225,6 +225,32 @@ def test_nll_sum_block_rows_match_one_row_calls_bitwise(n):
     singles = np.array([_nll_sum(t[i], y[i]) for i in range(7)])
     assert np.array_equal(_nll_sum(t, y), singles)
     assert np.array_equal(_nll_sum(t[rows], y[rows]), singles[rows])
+
+
+@pytest.mark.parametrize("n", [1, 300, 4099])
+def test_coord_slope_equals_the_gradient_after_commits(n):
+    # the slice sampler's hull reads dL/dbeta_k off the maintained X.beta
+    data, beta = random_instance(n, 6, seed=n)
+    ws = GlmWorkspace(data, beta)
+    gen = np.random.default_rng(n + 1)
+    for _ in range(4):
+        commit_update(ws, int(gen.integers(6)), float(gen.normal(0, 0.7)))
+    g = loglike_grad(data, ws.beta_current).g
+    for k in range(6):
+        got = _coord_slope(ws.xbeta, ws.xt[k], ws.xt_dy[k])
+        assert abs(got - g[k]) <= 1e-10 * max(abs(g[k]), 1.0), k
+
+
+@pytest.mark.parametrize("n", [1, 997, 4099])
+def test_coord_slope_block_rows_match_one_row_calls_bitwise(n):
+    # hb's lockstep takes the slopes of a (G, n) block, slice_sample_coord
+    # one row's; both must hand the hull the same bits
+    gen = np.random.default_rng(n)
+    xbeta = gen.standard_normal((7, n)) * 3.0
+    xk = gen.standard_normal((7, n))
+    xt_dy = gen.standard_normal(7)
+    singles = np.array([_coord_slope(xbeta[i], xk[i], xt_dy[i]) for i in range(7)])
+    assert np.array_equal(_coord_slope(xbeta, xk, xt_dy), singles)
 
 
 def test_diff_flop_count_is_small_fraction_of_full():

@@ -4,13 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from parmcmc import hb, parallel
+from parmcmc import hb, parallel, sampler
 from parmcmc.glm import _DIFF_MIN_ROWS, DesignMatrix, synthetic_logistic
 from parmcmc.instrumentation import counters
 from parmcmc.hb import (HbDataset, HbState, MappingMode, MappingPolicy,
                         hb_benchmark, hb_sweep, synthetic_hb_dataset)
 from parmcmc.rng import BufferKind, DeviateBuffer
 from parmcmc.sampler import ChainConfig, GaussianPrior, SliceWidenError, run_chain
+
+from naive import no_hull_slice_moves
 
 
 def tiny_setup(m=4, k=3, navg=200, seed=0):
@@ -165,6 +167,32 @@ def test_lockstep_row_blocks_do_not_change_draws(monkeypatch, block_elems):
         runs.append((np.stack(betas), state.total_evals, counters.snapshot().flops))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert runs[0][1:] == runs[1][1:]
+
+
+def _six_or_ragged(ragged: bool) -> HbDataset:
+    sizes = (300, 300, 150, 300, 77, 150, 1) if ragged else (300,) * 6
+    return HbDataset([synthetic_logistic(n, 4, seed=120 + i)[0] for i, n in enumerate(sizes)])
+
+
+@pytest.mark.parametrize("ragged", [False, True], ids=["6x300", "ragged"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("mode", list(MappingMode))
+def test_sweeps_match_no_hull_oracle(monkeypatch, mode, workers, ragged):
+    # the lockstep and slice_sample_coord both hand slice_moves a slope;
+    # with the hull's decisions exact, draws and streams are the oracle's
+    ds = _six_or_ragged(ragged)
+    prior = GaussianPrior.isotropic(4)
+    policy = MappingPolicy(mode, workers=workers)
+    runs = []
+    for moves_fn in (sampler.slice_moves, no_hull_slice_moves):
+        monkeypatch.setattr(sampler, "slice_moves", moves_fn)
+        monkeypatch.setattr(hb, "slice_moves", moves_fn)
+        betas, state = run_sweeps(ds, prior, policy, 3, seed=4)
+        runs.append((np.stack(betas), state.total_evals, [b.consumed for b in state.buffers]))
+    (betas, evals, used), (oracle, oracle_evals, oracle_used) = runs
+    assert np.array_equal(betas, oracle)
+    assert used == oracle_used
+    assert evals < 0.8 * oracle_evals
 
 
 def test_alternating_mappings_share_the_bucket_block_views():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from parmcmc import sampler
 from parmcmc.glm import DesignMatrix, ExecPlan, GlmWorkspace, Strategy, loglike, synthetic_logistic
@@ -8,7 +9,7 @@ from parmcmc.sampler import (ChainConfig, GaussianPrior, SliceShrinkError, Slice
                              SliceWidenError, log_posterior_coord, run_chain, slice_moves,
                              slice_sample_coord, write_draws_csv)
 
-from naive import full_recompute_loglike, naive_loglike
+from naive import full_recompute_loglike, naive_loglike, no_hull_slice_moves
 
 
 def small_problem(n=120, k=4, seed=0):
@@ -131,7 +132,7 @@ def test_failed_shrinkage_raises_a_typed_error():
     # degenerate width within _MAX_SHRINK tries, so shrinkage gives up
     buf = DeviateBuffer(BufferKind.UNIFORM01, seed=4)
     cfg = ChainConfig(n_iter=1, n_burnin=0, slice_width=1e300)
-    moves = slice_moves(0.0, 2, buf, cfg)
+    moves = slice_moves(0.0, 2, buf, cfg, slope0=0.0)
     assert next(moves) == 0.0
     sent = 0
     with pytest.raises(SliceShrinkError, match="coordinate 2"):
@@ -141,6 +142,88 @@ def test_failed_shrinkage_raises_a_typed_error():
             sent += 1
     assert sent == 2 + sampler._MAX_SHRINK - 1  # both ends, then every shrink try
     assert issubclass(SliceShrinkError, RuntimeError)
+
+
+def _quadratic(a, m):
+    return lambda x: -0.5 * a * (x - m) ** 2, lambda x: -a * (x - m)
+
+
+def _truncated_quadratic(lo, hi):
+    # log of a Gaussian cut to [lo, hi]: concave, -inf outside
+    f, slope = _quadratic(1.0, 0.4)
+    return (lambda x: f(x) if lo <= x <= hi else -np.inf), slope
+
+
+def _logistic_1d(seed):
+    # one coefficient of a logistic regression under a N(0.2, 3^2) prior
+    gen = np.random.default_rng(seed)
+    z = gen.standard_normal(200) * 2.0
+    y = (gen.random(200) < expit(0.7 * z)).astype(float)
+
+    def f(x):
+        t = x * z
+        return -float(np.sum((1.0 - y) * t + np.logaddexp(0.0, -t))) - 0.5 * ((x - 0.2) / 3.0) ** 2
+
+    def slope(x):
+        return float(np.dot(z, y - expit(x * z))) - (x - 0.2) / 9.0
+
+    return f, slope
+
+
+@pytest.mark.parametrize("target, width", [
+    (_quadratic(1.0, 0.3), 1.0), (_quadratic(400.0, -2.0), 1.0), (_quadratic(0.04, 5.0), 1.0),
+    (_truncated_quadratic(-0.5, 1.2), 1.0), (_logistic_1d(3), 0.5)],
+    ids=["unit", "narrow", "wide", "truncated", "logistic"])
+def test_hull_decisions_equal_the_exact_comparison(monkeypatch, target, width):
+    # every test the hull decides must come out as comparing the value the
+    # target would have been sent; the draws and the stream are then the
+    # no-hull oracle's, with fewer values sent
+    f, slope = target
+    cfg = ChainConfig(n_iter=1, n_burnin=0, slice_width=width)
+    decided = []
+    decide = sampler._Hull.decide
+
+    def spy(hull, p):
+        verdict = decide(hull, p)
+        if verdict is not None:
+            decided.append((p, hull.level, verdict))
+        return verdict
+
+    monkeypatch.setattr(sampler._Hull, "decide", spy)
+    runs = []
+    for moves_fn in (slice_moves, no_hull_slice_moves):
+        buf = DeviateBuffer(BufferKind.UNIFORM01, seed=17)
+        x, draws, sent = 0.1, [], 0
+        for _ in range(2000):
+            moves = moves_fn(x, 0, buf, cfg, slope(x))
+            p = next(moves)
+            try:
+                while True:
+                    sent += 1
+                    p = moves.send(f(p))
+            except StopIteration as done:
+                x = done.value
+            draws.append(x)
+        runs.append((draws, buf.consumed, sent))
+    (draws, used, sent), (oracle, oracle_used, oracle_sent) = runs
+    assert all((f(p) > level) == verdict for p, level, verdict in decided)
+    assert len(decided) == oracle_sent - sent > 0.1 * oracle_sent
+    assert draws == oracle and used == oracle_used
+
+
+def test_hull_leaves_a_near_tie_to_the_evaluation():
+    # a concave f with a kink at x0 = 0 (slope -0.5 left of it, -1 right):
+    # f(2) is computed 2 ulps high, so the chord at 1 clears the level by
+    # less than rounding while f(1), computed as -1.0, does not clear it
+    level = np.nextafter(-1.0, 0.0)
+    fb = np.nextafter(np.nextafter(-2.0, 0.0), 0.0)
+    hull = sampler._Hull(0.0, 0.0, -0.5, level)
+    hull.add(2.0, fb)
+    assert fb / 2.0 > level and not -1.0 > level
+    assert hull.decide(1.0) is None
+    hull.add(3.0, -np.inf)
+    hull.add(-1.0, np.nan)
+    assert hull.xs == [0.0, 2.0]  # -inf and NaN add no knot
 
 
 def test_eval_counter_accumulates():
@@ -173,6 +256,24 @@ def test_chain_diff_vs_full_recompute_identical(monkeypatch):
     assert np.max(np.abs(d.draws - f.draws)) <= 1e-6
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n, k, sigma, seed", [(400, 5, 5.0, 8), (2000, 3, 10.0, 11)])
+def test_chain_matches_no_hull_oracle(monkeypatch, n, k, sigma, seed, workers):
+    data, _ = synthetic_logistic(n, k, seed=seed)
+    prior = GaussianPrior.isotropic(k, sigma=sigma)
+    cfg = ChainConfig(n_iter=120, n_burnin=20, seed=seed)
+    runs = []
+    for moves_fn in (slice_moves, no_hull_slice_moves):
+        monkeypatch.setattr(sampler, "slice_moves", moves_fn)
+        rng = DeviateBuffer(BufferKind.UNIFORM01, seed=seed)
+        runs.append((run_chain(data, prior, cfg, ExecPlan(workers=workers), rng=rng),
+                     rng.consumed))
+    (hull, used), (oracle, oracle_used) = runs
+    assert np.array_equal(hull.draws, oracle.draws)
+    assert used == oracle_used
+    assert hull.accept_evals < 0.75 * oracle.accept_evals
+
+
 def test_chain_draws_independent_of_plan():
     data, _, prior = small_problem(n=300, k=4, seed=9)
     cfg = ChainConfig(n_iter=80, n_burnin=20, seed=13)
@@ -188,6 +289,16 @@ def test_chain_debug_mode_validates_workspace():
     data, _, prior = small_problem(n=150, k=3, seed=10)
     out = run_chain(data, prior, ChainConfig(n_iter=120, n_burnin=0, seed=2), debug=True)
     assert out.draws.shape[0] == 120
+
+
+def test_chain_debug_mode_checks_the_slope(monkeypatch):
+    data, _, prior = small_problem(n=150, k=3, seed=10)
+    coord_slope = sampler._coord_slope
+    monkeypatch.setattr(sampler, "_coord_slope", lambda *args: coord_slope(*args) * (1 + 1e-6))
+    cfg = ChainConfig(n_iter=100, n_burnin=0, seed=2)
+    run_chain(data, prior, cfg)  # a wrong slope goes unnoticed without debug
+    with pytest.raises(AssertionError, match="slope of coordinate"):
+        run_chain(data, prior, cfg, debug=True)
 
 
 def test_chain_posterior_recovery_moderate():
