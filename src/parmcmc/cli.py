@@ -131,7 +131,8 @@ def cmd_glm_sample(args) -> int:
     means = " ".join(f"{m:.6g}" for m in out.draws.mean(axis=0))
     print(f"posterior_mean: {means}")
     per_draw = out.accept_evals / (cfg.n_iter * data.n_cols)
-    print(f"draws={out.draws.shape[0]} evals={out.accept_evals} ({per_draw:.2f} per draw) "
+    print(f"draws={out.draws.shape[0]} evals={out.accept_evals} "
+          f"({per_draw:.2f} per draw, {out.reused} reused) "
           f"wall={out.wall_time:.3f}s -> {args.out}")
     return 0
 

@@ -280,6 +280,11 @@ class GlmWorkspace:
     and with it xt_dy = X'(y - 1/2), the fixed part of each coordinate's slope.
     Quiescence invariant: xbeta equals a fresh X.beta_current to 1e-10 per
     element whenever no commit is in flight; `validate` checks it.
+
+    A slice driver stores L at beta_current and its number of row blocks when
+    it accepted the last point it evaluated, as the commit's axpy repeats that
+    evaluation's bit for bit; a nonzero commit clears it.  It answers only an
+    evaluation over as many blocks, since another split rounds differently.
     """
 
     def __init__(self, data: DesignMatrix, beta0):
@@ -304,6 +309,16 @@ class GlmWorkspace:
         self.xbeta, self.xt = xbeta, xt
         self.xt_dy = xt @ (data.y - 0.5)
         self._shape = (data.n_rows, data.n_cols)
+        self._stored = None
+
+    def store_loglike(self, value: float, blocks: int) -> None:
+        """Keep L at beta_current, summed over `blocks` row blocks, until a commit moves it."""
+        self._stored = (value, blocks)
+
+    def stored_loglike(self, blocks: int) -> float | None:
+        """The kept L at beta_current if it was summed over `blocks` row blocks, else None."""
+        stored = self._stored
+        return stored[0] if stored is not None and stored[1] == blocks else None
 
     @property
     def n_rows(self) -> int:
@@ -324,6 +339,11 @@ class GlmWorkspace:
 def _check_coord(ws: GlmWorkspace, k: int) -> None:
     if not 0 <= k < ws.n_cols:
         raise IndexError(f"coordinate {k} out of range [0, {ws.n_cols})")
+
+
+def _diff_blocks(n_rows: int, workers: int) -> int:
+    """Row blocks of a diff_loglike: up to `workers`, each of at least _DIFF_MIN_ROWS rows."""
+    return min(workers, max(1, n_rows // _DIFF_MIN_ROWS))
 
 
 def diff_loglike(ws: GlmWorkspace, data: DesignMatrix, k: int, delta_beta_k: float,
@@ -350,8 +370,8 @@ def diff_loglike(ws: GlmWorkspace, data: DesignMatrix, k: int, delta_beta_k: flo
             return _shifted_loglike(ws.xbeta, xk, y, slice(a, b), delta_beta_k), None
         return run
 
-    workers = min(plan.workers, max(1, ws.n_rows // _DIFF_MIN_ROWS))
-    return _region_merge([task(a, b) for a, b in parallel.partition(ws.n_rows, workers)])[0]
+    blocks = parallel.partition(ws.n_rows, _diff_blocks(ws.n_rows, plan.workers))
+    return _region_merge([task(a, b) for a, b in blocks])[0]
 
 
 def commit_update(ws: GlmWorkspace, k: int, delta_beta_k: float) -> None:
@@ -359,13 +379,14 @@ def commit_update(ws: GlmWorkspace, k: int, delta_beta_k: float) -> None:
 
     Exclusive access assumed; restores the quiescence invariant on return.
     The O(N) axpy is memory-bound, so it runs unpartitioned on the calling
-    thread.
+    thread.  A nonzero move clears the stored L at beta_current.
     """
     _check_coord(ws, k)
     if not math.isfinite(delta_beta_k):
         raise ValueError("delta_beta_k must be finite")
     if delta_beta_k != 0.0:
         ws.xbeta += delta_beta_k * ws.xt[k]
+        ws._stored = None
     ws.beta_current[k] += delta_beta_k
     counters.add_flops(2 * ws.n_rows)
 

@@ -183,14 +183,16 @@ def _sweep_lockstep(bucket: _Bucket, prior: GaussianPrior) -> int:
     For each coordinate every group runs its own `slice_moves`, started with
     the slope of its conditional at the current point: the slopes of all
     groups come from (G, n) blocks through glm._coord_slope before any
-    generator starts, as slice_sample_coord computes each on its own.  Each
-    round evaluates the points the groups' hulls could not decide, for all
-    groups still stepping out or shrinking, as (active, n) blocks of at most
+    generator starts, as slice_sample_coord computes each on its own.  A
+    group whose workspace stores a one-block L at beta_current answers its
+    first point, x0, from it, and may finish in its hull with no evaluation.
+    Each round evaluates the points the groups' hulls could not decide, for
+    all groups still stepping out or shrinking, as (active, n) blocks of at most
     _BLOCK_ELEMS elements through glm._shifted_loglike, the kernel
-    diff_loglike runs per group.  So each group sees the same bits, draws and
-    evaluation count on either path.  A group leaves the round set when it
-    commits its draw, so the rows still read from the live X.beta block are
-    never mid-update.
+    diff_loglike runs per group.  So each group sees the same bits, draws,
+    evaluation count and stored values on either path.  A group leaves the
+    round set when it commits its draw, so the rows still read from the live
+    X.beta block are never mid-update.
     """
     wss, xb, y = bucket.workspaces, bucket.xbeta, bucket.y
     rows = max(1, _BLOCK_ELEMS // y.shape[1])
@@ -204,22 +206,25 @@ def _sweep_lockstep(bucket: _Bucket, prior: GaussianPrior) -> int:
         moves = [slice_moves(float(b), k, buf, _SWEEP_CFG, float(s))
                  for b, buf, s in zip(x0, bucket.buffers, slope0)]
         x = np.array([next(mv) for mv in moves])
-        active = np.arange(len(wss))
+        d = np.zeros(len(wss))
+        ll = np.array([ws.stored_loglike(1) for ws in wss], dtype=float)  # NaN: none stored
+        active, fresh = np.arange(len(wss)), np.flatnonzero(np.isnan(ll))
         while active.size:
-            d = x[active] - x0[active]
-            f = prior.logpdf_coord(k, x0[active] + d)
-            for j in range(0, active.size, rows):
-                f[j:j + rows] += _shifted_loglike(xb, xk, y, active[j:j + rows],
-                                                  d[j:j + rows, None])
-            evals += active.size
+            for j in range(0, fresh.size, rows):
+                part = fresh[j:j + rows]
+                ll[part] = _shifted_loglike(xb, xk, y, part, d[part, None])
+            evals += fresh.size
             stepping = []
-            for i, fi in zip(active, f):
+            for i, fi in zip(active, prior.logpdf_coord(k, x0[active] + d[active]) + ll[active]):
                 try:
                     x[i] = moves[i].send(fi)
                     stepping.append(i)
                 except StopIteration as done:
                     commit_update(wss[i], k, done.value - x0[i])
-            active = np.array(stepping, dtype=np.intp)
+                    if done.value == x[i]:
+                        wss[i].store_loglike(ll[i], 1)
+            active = fresh = np.array(stepping, dtype=np.intp)
+            d[active] = x[active] - x0[active]
     return evals
 
 

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 
@@ -138,7 +139,9 @@ def test_glm_sample_synthetic(tmp_path, capsys):
     rc = cli.main(["glm-sample", "--synthetic", "200,3", "--iters", "40",
                    "--burnin", "10", "--seed", "5", "--out", str(out)])
     assert rc == 0
-    assert "posterior_mean:" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "posterior_mean:" in printed
+    assert re.search(r"\(\d+\.\d\d per draw, \d+ reused\)", printed), printed
     draws = np.loadtxt(out, delimiter=",", skiprows=1)
     assert draws.shape == (30, 3)
 

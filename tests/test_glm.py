@@ -273,6 +273,20 @@ def test_commit_zero_delta_is_identity():
     np.testing.assert_array_equal(ws.xbeta, before)
 
 
+def test_stored_loglike_outlives_reads_and_zero_moves_only():
+    # the stored L at beta_current answers only its own row split, and a
+    # commit that moves X.beta clears it
+    data, beta = random_instance(40, 4, seed=3)
+    ws = GlmWorkspace(data, beta)
+    assert ws.stored_loglike(1) is None
+    ws.store_loglike(-7.5, 1)
+    diff_loglike(ws, data, 2, 0.3)
+    commit_update(ws, 1, 0.0)
+    assert ws.stored_loglike(1) == -7.5 and ws.stored_loglike(2) is None
+    commit_update(ws, 1, 0.2)
+    assert ws.stored_loglike(1) is None
+
+
 def test_commit_sequence_stays_quiescent():
     data, beta = random_instance(300, 6, seed=4)
     ws = GlmWorkspace(data, beta)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from parmcmc import hb, parallel, sampler
-from parmcmc.glm import _DIFF_MIN_ROWS, DesignMatrix, synthetic_logistic
+from parmcmc.glm import _DIFF_MIN_ROWS, DesignMatrix, ExecPlan, diff_loglike, synthetic_logistic
 from parmcmc.instrumentation import counters
 from parmcmc.hb import (HbDataset, HbState, MappingMode, MappingPolicy,
                         hb_benchmark, hb_sweep, synthetic_hb_dataset)
@@ -249,6 +249,36 @@ def test_fine_above_the_row_floor_forks_and_matches_coarse():
     b_fine, state = run_sweeps(ds, prior, MappingPolicy(MappingMode.FINE, workers=2), 3)
     assert counters.snapshot().merge_events == 2 * state.total_evals > 0
     np.testing.assert_allclose(np.stack(b_fine), np.stack(b_coarse), rtol=1e-9, atol=1e-12)
+
+
+def test_alternating_mappings_above_the_row_floor_never_share_a_stored_loglike():
+    # FINE sums these groups over 2 row blocks, COARSE over 1, and the two
+    # round differently: a value one mapping stored is a miss for the other,
+    # so alternating them evaluates as often as clearing every stored value
+    groups = [synthetic_logistic(2 * _DIFF_MIN_ROWS, 2, seed=90 + i)[0] for i in range(2)]
+    ds = HbDataset(groups)
+    prior = GaussianPrior.isotropic(2)
+    policies = [MappingPolicy(mode, workers=2) for mode in (MappingMode.COARSE, MappingMode.FINE)]
+    runs, split_rounds = [], 0
+    for clear in (False, True):
+        state = HbState(ds, prior, seed=9)
+        betas = []
+        for t in range(6):
+            for ws, group in zip(state.workspaces, groups):
+                if clear:
+                    ws._stored = None
+                blocks = 1 + t % 2
+                stored = ws.stored_loglike(blocks)
+                fresh = diff_loglike(ws, group, 0, 0.0, ExecPlan(workers=blocks))
+                assert stored is None or stored == fresh
+                other = diff_loglike(ws, group, 0, 0.0, ExecPlan(workers=3 - blocks))
+                split_rounds += fresh != other
+            betas.append(np.stack(hb_sweep(ds, state, prior, policies[t % 2])))
+        runs.append((np.stack(betas), state.total_evals))
+    (betas, evals), (cleared, cleared_evals) = runs
+    assert np.array_equal(betas, cleared)
+    assert evals == cleared_evals
+    assert split_rounds > 0  # the two row splits do round differently here
 
 
 @pytest.mark.parametrize("mode", list(MappingMode))

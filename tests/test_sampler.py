@@ -274,6 +274,45 @@ def test_chain_matches_no_hull_oracle(monkeypatch, n, k, sigma, seed, workers):
     assert hull.accept_evals < 0.75 * oracle.accept_evals
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n, k, sigma, seed", [(400, 5, 5.0, 8), (2000, 3, 10.0, 11)])
+def test_chain_matches_forced_miss_oracle(monkeypatch, n, k, sigma, seed, workers):
+    # with nothing ever stored, every draw evaluates its x0 afresh; answering
+    # x0 from the stored L instead changes no draw and no deviate
+    data, _ = synthetic_logistic(n, k, seed=seed)
+    prior = GaussianPrior.isotropic(k, sigma=sigma)
+    cfg = ChainConfig(n_iter=120, n_burnin=20, seed=seed)
+    runs = []
+    for store in (GlmWorkspace.store_loglike, lambda ws, value, blocks: None):
+        monkeypatch.setattr(GlmWorkspace, "store_loglike", store)
+        rng = DeviateBuffer(BufferKind.UNIFORM01, seed=seed)
+        runs.append((run_chain(data, prior, cfg, ExecPlan(workers=workers), rng=rng),
+                     rng.consumed))
+    (stored, used), (oracle, oracle_used) = runs
+    assert np.array_equal(stored.draws, oracle.draws)
+    assert used == oracle_used
+    assert oracle.reused == 0 < stored.reused
+    assert stored.accept_evals + stored.reused == oracle.accept_evals
+    assert stored.accept_evals <= 0.9 * oracle.accept_evals
+
+
+def test_a_draw_that_keeps_x0_keeps_the_stored_loglike(monkeypatch):
+    def stay(x0, k, rng, cfg, slope0):
+        yield x0
+        return x0
+
+    data, _, prior = small_problem(seed=7)
+    ws = GlmWorkspace(data, prior.mu)
+    buf = DeviateBuffer(BufferKind.UNIFORM01, seed=3)
+    monkeypatch.setattr(sampler, "slice_moves", stay)
+    stats = SliceStats()
+    for k in (0, 1, 0):
+        slice_sample_coord(ws, data, prior, k, buf, ChainConfig(n_iter=1, n_burnin=0),
+                           stats=stats)
+        assert ws.stored_loglike(1) == sampler.diff_loglike(ws, data, 0, 0.0)
+    assert (stats.evals, stats.reused) == (1, 2)
+
+
 def test_chain_draws_independent_of_plan():
     data, _, prior = small_problem(n=300, k=4, seed=9)
     cfg = ChainConfig(n_iter=80, n_burnin=20, seed=13)
@@ -298,6 +337,17 @@ def test_chain_debug_mode_checks_the_slope(monkeypatch):
     cfg = ChainConfig(n_iter=100, n_burnin=0, seed=2)
     run_chain(data, prior, cfg)  # a wrong slope goes unnoticed without debug
     with pytest.raises(AssertionError, match="slope of coordinate"):
+        run_chain(data, prior, cfg, debug=True)
+
+
+def test_chain_debug_mode_checks_the_stored_loglike(monkeypatch):
+    data, _, prior = small_problem(n=150, k=3, seed=10)
+    store = GlmWorkspace.store_loglike
+    monkeypatch.setattr(GlmWorkspace, "store_loglike",
+                        lambda ws, value, blocks: store(ws, value * (1 + 1e-6), blocks))
+    cfg = ChainConfig(n_iter=100, n_burnin=0, seed=2)
+    run_chain(data, prior, cfg)  # a wrong stored value goes unnoticed without debug
+    with pytest.raises(AssertionError, match="stored L at beta_current"):
         run_chain(data, prior, cfg, debug=True)
 
 
