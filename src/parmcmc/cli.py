@@ -43,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--K", dest="n_cols", help="column counts, comma separated")
     b.add_argument("--strategies", help="som,plf,plf_chunked,sharded")
     b.add_argument("--workers")
-    b.add_argument("--chunks")
+    b.add_argument("--chunks", help="chunk counts, comma separated; only plf_chunked reads "
+                                    "them, and the CSV's n_chunks is the count requested")
     b.add_argument("--op", help="loglike or grad")
     b.add_argument("--evals")
     b.add_argument("--reps")

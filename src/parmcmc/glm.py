@@ -3,7 +3,7 @@
 The same two reductions,
 
     L(beta)   = -sum_n [ (1 - y_n) t_n + log(1 + exp(-t_n)) ],  t_n = x_n . beta
-    g(beta)   = X' gf,   gf_n = y_n - 1 / (1 + exp(-t_n)),
+    g(beta)   = X' r,    r_n = y_n - sigmoid(t_n) = (y_n - 1/2) - tanh(t_n / 2) / 2,
 
 are offered under interchangeable execution strategies.  A strategy is only
 a block layout, the (x, y) row blocks each worker walks, all views of one
@@ -13,10 +13,13 @@ DesignMatrix; one evaluator runs them all:
                materialized in a region of its own before a second region
                runs the transcendental reduction over it.
 * PLF          partial loop fusion: each worker runs the whole map sequence
-               over its contiguous row block.
-* PLF_CHUNKED  PLF with each worker's block processed in n_chunks
-               cache-sized pieces (chunked matvec -> fused transcendental ->
-               chunked transposed matvec), still merging once per worker.
+               over its contiguous row block; a gradient cuts the block into
+               cache-sized chunks of at most _CHUNK_ELEMS elements of X
+               (chunked matvec -> fused transcendental -> chunked transposed
+               matvec), still merging once per worker.
+* PLF_CHUNKED  PLF with each worker's block cut into exactly n_chunks
+               pieces, for a value as for a gradient: the explicit override
+               of the chunk rule.
 * SHARDED      PLF under another name: one contiguous block per worker.
 
 No memory is placed per socket: every worker reads the caller's X, since a
@@ -125,7 +128,7 @@ class GradResult:
 
 # analytic flops per row (mul/add/div/exp/log each count 1); see instrumentation
 _TR_FLOPS = 6        # (1-y)*t, softplus split, accumulate
-_TR_GRAD_FLOPS = 8   # adds the sigmoid and its subtraction
+_TR_GRAD_FLOPS = 11  # adds the residual: halve, tanh, scale, add y, subtract 1/2
 _DIFF_FLOPS = 8      # fused axpy + transcendental
 _SLOPE_FLOPS = 4     # halving, tanh, dot multiply-add
 
@@ -133,6 +136,11 @@ _SLOPE_FLOPS = 4     # halving, tanh, dot multiply-add
 #: K=10 on 2 vCPUs one worker beat two up to 40k-50k total rows, and two
 #: won from about 60k
 _DIFF_MIN_ROWS = 1 << 15
+
+#: elements of X per chunk of a PLF or SHARDED gradient (1 MiB), so the
+#: transposed matvec finds the chunk the matvec just read still in L2; 4x
+#: hb._BLOCK_ELEMS, as two workers share the GIL per chunk (README, "Block sizes")
+_CHUNK_ELEMS = 1 << 17
 
 
 def _nll_sum(t: np.ndarray, y: np.ndarray) -> float | np.ndarray:
@@ -191,26 +199,45 @@ def _check_beta(beta, n_cols: int) -> np.ndarray:
 def _block_eval(x, y, beta, g, t=None) -> float:
     """f partial of one row block; adds its gradient partial into g unless None.
 
-    `t` is the block's X.beta when SOM has already materialized it.
+    The residual y - sigmoid(t) is formed as (y - 1/2) - tanh(t/2) / 2, the
+    identity _coord_slope uses.  `t` is the block's X.beta when SOM has
+    already materialized it.
     """
     if t is None:
         t = x @ beta
     if g is not None:
-        g += x.T @ (y - expit(t))
+        r = np.multiply(t, 0.5)
+        np.tanh(r, out=r)
+        r *= -0.5
+        r += y
+        r -= 0.5
+        g += x.T @ r
     return _nll_sum(t, y)
 
 
-def _worker_blocks(data, plan: ExecPlan) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+def _chunk_count(n_rows: int, n_cols: int) -> int:
+    """Chunks of a PLF or SHARDED gradient's worker block: one per _CHUNK_ELEMS elements of X."""
+    return max(1, -(-n_rows * n_cols // _CHUNK_ELEMS))
+
+
+def _worker_blocks(data, plan: ExecPlan,
+                   grad: bool) -> list[list[tuple[np.ndarray, np.ndarray]]]:
     """Each worker's list of (x, y) row blocks, all views of the data.
 
-    Each worker gets its parallel.partition block, which PLF_CHUNKED cuts
-    again with parallel.partition into n_chunks cache-sized pieces.  Both
+    Each worker gets its parallel.partition block, which is cut again with
+    parallel.partition into chunks: PLF_CHUNKED's n_chunks, _chunk_count's
+    for a PLF or SHARDED gradient, and otherwise one.  A value reads X once,
+    so a chunk would buy it no reuse, and SOM is the naive baseline.  Both
     cuts follow one rule, so a worker block, like a chunk, is empty wherever
     the pieces outnumber the rows.
     """
-    n_chunks = plan.n_chunks if plan.strategy is Strategy.PLF_CHUNKED else 1
+    def chunks(rows: int) -> int:
+        if plan.strategy is Strategy.PLF_CHUNKED:
+            return plan.n_chunks
+        return _chunk_count(rows, data.n_cols) if grad and plan.strategy is not Strategy.SOM else 1
+
     return [[(data.x[start + a:start + b], data.y[start + a:start + b])
-             for a, b in parallel.partition(stop - start, n_chunks)]
+             for a, b in parallel.partition(stop - start, chunks(stop - start))]
             for start, stop in parallel.partition(data.n_rows, plan.workers)]
 
 
@@ -236,7 +263,7 @@ def _evaluate(data, beta, plan: ExecPlan, grad: bool) -> tuple[float, np.ndarray
     One region with private per-worker accumulators; SOM first spends a region
     of its own materializing X.beta.
     """
-    blocks = _worker_blocks(data, plan)
+    blocks = _worker_blocks(data, plan, grad)
     ts = [[None] * len(bl) for bl in blocks]
     if plan.strategy is Strategy.SOM:
         # sequence of maps: the full X.beta intermediate gets a region of its own

@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from parmcmc.glm import (_DIFF_MIN_ROWS, DesignMatrix, ExecPlan, GlmWorkspace, Strategy,
-                         _coord_slope, _nll_sum, commit_update, diff_loglike, load_design_csv, loglike,
-                         loglike_grad, synthetic_logistic)
+from parmcmc.glm import (_CHUNK_ELEMS, _DIFF_MIN_ROWS, DesignMatrix, ExecPlan, GlmWorkspace,
+                         Strategy, _chunk_count, _coord_slope, _nll_sum, _worker_blocks,
+                         commit_update, diff_loglike, load_design_csv, loglike, loglike_grad,
+                         synthetic_logistic)
 from parmcmc.instrumentation import counters
 
 from naive import fd_gradient, naive_grad, naive_loglike
@@ -133,6 +134,58 @@ def test_sharded_is_plf_bit_for_bit(workers):
     assert loglike(data, beta, sharded) == loglike(data, beta, plf)
     g1, g2 = loglike_grad(data, beta, sharded), loglike_grad(data, beta, plf)
     assert g1.f == g2.f and np.array_equal(g1.g, g2.g)
+
+
+def test_plf_gradient_chunks_by_the_cache_rule():
+    # 10009 rows over 2 workers: blocks of 5005 and 5004 rows, each 3 chunks
+    # at K=60; the worker cut and the first block's chunk cut leave a remainder
+    data, beta = random_instance(10009, 60, seed=9)
+    n_chunks = _chunk_count(5005, 60)
+    assert n_chunks == _chunk_count(5004, 60) == 3
+    chunked = loglike_grad(data, beta, ExecPlan(Strategy.PLF_CHUNKED, workers=2, n_chunks=n_chunks))
+    for strategy in (Strategy.PLF, Strategy.SHARDED):
+        res = loglike_grad(data, beta, ExecPlan(strategy, workers=2))
+        assert res.f == chunked.f and np.array_equal(res.g, chunked.g), strategy
+    # a value reads X once and is never cut; neither is SOM, the naive baseline
+    for strategy, grad in ((Strategy.PLF, False), (Strategy.SOM, True)):
+        blocks = _worker_blocks(data, ExecPlan(strategy, workers=2), grad)
+        assert [len(bl) for bl in blocks] == [1, 1], strategy
+    som = loglike_grad(data, beta, ExecPlan(Strategy.SOM, workers=2))
+    one = loglike_grad(data, beta, ExecPlan(Strategy.PLF_CHUNKED, workers=2, n_chunks=1))
+    assert som.f == one.f and np.array_equal(som.g, one.g)
+
+
+def test_worker_block_within_one_chunk_is_not_cut():
+    rows = _CHUNK_ELEMS // 8
+    assert _chunk_count(rows, 8) == 1 and _chunk_count(rows + 1, 8) == 2
+    data, beta = random_instance(2 * rows, 8, seed=4)
+    res = loglike_grad(data, beta, ExecPlan(Strategy.PLF, workers=2))
+    one = loglike_grad(data, beta, ExecPlan(Strategy.PLF_CHUNKED, workers=2, n_chunks=1))
+    assert res.f == one.f and np.array_equal(res.g, one.g)
+
+
+@pytest.mark.parametrize("separated", [False, True], ids=["mixed", "separated"])
+def test_residual_at_extreme_margins(separated):
+    # |t| from 30 to 800, past exp's overflow at 709: the tanh residual must
+    # stay finite and exact to rounding, for the gradient and the slope alike
+    gen = np.random.default_rng(17)
+    n = 240
+    t = np.geomspace(30.0, 800.0, n) * np.tile([1.0, -1.0], n // 2)
+    beta = np.array([1.0, 1e-3, -2e-3])
+    x = np.column_stack([np.zeros(n), gen.standard_normal(n), gen.standard_normal(n)])
+    x[:, 0] = t - x[:, 1:] @ beta[1:]
+    y = (t > 0).astype(float) if separated else np.tile([1.0, 1.0, 0.0, 0.0], n // 4)
+    data = DesignMatrix(x, y)
+    tol = 1e-12 * np.abs(x).sum(axis=0)
+    want = naive_grad(x, y, beta)
+    for strategy in ALL_STRATEGIES:
+        g = loglike_grad(data, beta, ExecPlan(strategy, workers=2, n_chunks=3)).g
+        assert np.isfinite(g).all(), strategy
+        assert (np.abs(g - want) <= tol).all(), (strategy, g - want)
+    g = loglike_grad(data, beta).g
+    ws = GlmWorkspace(data, beta)
+    for k in range(3):
+        assert abs(_coord_slope(ws.xbeta, ws.xt[k], ws.xt_dy[k]) - g[k]) <= tol[k], k
 
 
 @pytest.mark.parametrize("op", [loglike, loglike_grad], ids=["loglike", "grad"])
