@@ -127,7 +127,7 @@ def cmd_glm_sample(args) -> int:
     prior = sampler.GaussianPrior.isotropic(data.n_cols, sigma=args.prior_sigma)
     cfg = sampler.ChainConfig(n_iter=args.iters, n_burnin=args.burnin, seed=args.seed,
                               slice_width=args.width, slice_max_steps=args.max_steps)
-    out = sampler.run_chain(data, prior, cfg, glm.ExecPlan(workers=args.workers))
+    out = sampler.run_chain(data, prior, cfg, args.workers)
     sampler.write_draws_csv(out, args.out)
     means = " ".join(f"{m:.6g}" for m in out.draws.mean(axis=0))
     print(f"posterior_mean: {means}")

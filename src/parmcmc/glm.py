@@ -303,8 +303,9 @@ def loglike_grad(data: DesignMatrix, beta, plan: ExecPlan = ExecPlan()) -> GradR
 class GlmWorkspace:
     """Maintained X.beta plus the transposed copy backing column access.
 
-    The transpose is built eagerly (X is immutable, so it never refreshes),
-    and with it xt_dy = X'(y - 1/2), the fixed part of each coordinate's slope.
+    `data` is the DesignMatrix it was built from, kept by reference (it is
+    immutable).  The transpose is built eagerly, and with it
+    xt_dy = X'(y - 1/2), the fixed part of each coordinate's slope.
     Quiescence invariant: xbeta equals a fresh X.beta_current to 1e-10 per
     element whenever no commit is in flight; `validate` checks it.
 
@@ -335,7 +336,7 @@ class GlmWorkspace:
         xt[:] = data.x.T
         self.xbeta, self.xt = xbeta, xt
         self.xt_dy = xt @ (data.y - 0.5)
-        self._shape = (data.n_rows, data.n_cols)
+        self.data = data
         self._stored = None
 
     def store_loglike(self, value: float, blocks: int) -> None:
@@ -349,15 +350,15 @@ class GlmWorkspace:
 
     @property
     def n_rows(self) -> int:
-        return self._shape[0]
+        return self.xbeta.shape[0]
 
     @property
     def n_cols(self) -> int:
-        return self._shape[1]
+        return self.xt.shape[0]
 
-    def validate(self, data: DesignMatrix, tol: float = 1e-10) -> float:
-        """Max |xbeta - X.beta_current|; raises if above tol."""
-        err = float(np.max(np.abs(self.xbeta - data.x @ self.beta_current)))
+    def validate(self, tol: float = 1e-10) -> float:
+        """Max |xbeta - X.beta_current| for the workspace's data; raises if above tol."""
+        err = float(np.max(np.abs(self.xbeta - self.data.x @ self.beta_current)))
         if err > tol:
             raise AssertionError(f"workspace desynchronized: max error {err:g} > {tol:g}")
         return err
@@ -370,34 +371,33 @@ def _check_coord(ws: GlmWorkspace, k: int) -> None:
 
 def _diff_blocks(n_rows: int, workers: int) -> int:
     """Row blocks of a diff_loglike: up to `workers`, each of at least _DIFF_MIN_ROWS rows."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     return min(workers, max(1, n_rows // _DIFF_MIN_ROWS))
 
 
-def diff_loglike(ws: GlmWorkspace, data: DesignMatrix, k: int, delta_beta_k: float,
-                 plan: ExecPlan = ExecPlan()) -> float:
+def diff_loglike(ws: GlmWorkspace, k: int, delta_beta_k: float, workers: int = 1) -> float:
     """L at beta_current with coordinate k shifted by delta, touching only column k.
 
-    Reads the maintained X.beta and one contiguous row of the transpose;
-    never mutates the workspace.  Of the plan only workers is read, as an
-    upper bound (strategy and n_chunks do not apply to a one-column update):
-    the rows split only as far as every worker gets _DIFF_MIN_ROWS of them,
-    so a smaller evaluation runs as one block on the calling thread, where
-    a fork would cost more than the rows it shares out.
+    Reads the maintained X.beta, one contiguous row of the transpose and the
+    workspace's own y; never mutates the workspace.  `workers` is an upper
+    bound, the one parallel choice of a one-column update: the rows split
+    only as far as every worker gets _DIFF_MIN_ROWS of them, so a smaller
+    evaluation runs as one block on the calling thread, where a fork would
+    cost more than the rows it shares out.
     """
     _check_coord(ws, k)
     if not math.isfinite(delta_beta_k):
         raise ValueError("delta_beta_k must be finite")
-    if data.n_rows != ws.n_rows or data.n_cols != ws.n_cols:
-        raise ValueError("workspace/data shape mismatch")
     xk = ws.xt[k]
-    y = data.y
+    y = ws.data.y
 
     def task(a, b):
         def run():
             return _shifted_loglike(ws.xbeta, xk, y, slice(a, b), delta_beta_k), None
         return run
 
-    blocks = parallel.partition(ws.n_rows, _diff_blocks(ws.n_rows, plan.workers))
+    blocks = parallel.partition(ws.n_rows, _diff_blocks(ws.n_rows, workers))
     return _region_merge([task(a, b) for a, b in blocks])[0]
 
 

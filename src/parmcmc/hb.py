@@ -42,7 +42,7 @@ from enum import Enum
 import numpy as np
 
 from . import parallel
-from .glm import (DesignMatrix, ExecPlan, GlmWorkspace, Strategy, _coord_slope, _shifted_loglike,
+from .glm import (DesignMatrix, ExecPlan, GlmWorkspace, _coord_slope, _shifted_loglike,
                   commit_update, loglike, synthetic_logistic)
 from .perf import REFERENCE_MACHINE, BenchRecord
 from .rng import BufferKind, DeviateBuffer
@@ -119,9 +119,9 @@ class _Bucket:
     """Equal-size groups stored as contiguous blocks.
 
     X.beta is (G, n), the transposed X is (K, G, n) and y is (G, n); each
-    member workspace is built straight into row views of these blocks, so
-    per-group calls (diff_loglike, commit_update, validate) and the
-    lockstep driver read and write the same memory.
+    member workspace (holding its group as `data`) is built straight into row
+    views of these blocks, so per-group calls (diff_loglike, commit_update,
+    validate) and the lockstep driver read and write the same memory.
     """
 
     def __init__(self, ds: HbDataset, members: list[int], beta0: np.ndarray,
@@ -248,8 +248,8 @@ def hb_sweep(ds: HbDataset, state: HbState, prior: GaussianPrior,
         raise ValueError("state was built for a different dataset")
     coarse = policy.mode is MappingMode.COARSE
     outer, inner = (policy.workers, 1) if coarse else (1, policy.workers)
-    inner_plan = ExecPlan(Strategy.PLF, workers=inner)
     if policy.neval > 1:
+        inner_plan = ExecPlan(workers=inner)
         def passes(w: int) -> None:
             for m in range(w, ds.m_groups, outer):
                 for _ in range(policy.neval - 1):
@@ -260,10 +260,9 @@ def hb_sweep(ds: HbDataset, state: HbState, prior: GaussianPrior,
         evals = sum(_sweep_lockstep(b, prior) for b in state.buckets)
     else:
         stats = SliceStats()
-        for group, ws, buf in zip(ds.groups, state.workspaces, state.buffers):
+        for ws, buf in zip(state.workspaces, state.buffers):
             for k in range(ds.n_cols):
-                slice_sample_coord(ws, group, prior, k, buf, _SWEEP_CFG, inner_plan,
-                                   stats=stats)
+                slice_sample_coord(ws, prior, k, buf, _SWEEP_CFG, inner, stats=stats)
         evals = stats.evals
     state.total_evals += evals
     return state.betas

@@ -88,7 +88,7 @@ class DeviateBuffer:
     def refill(self) -> None:
         """Fill data[0:capacity] with the next block of the base stream."""
         if self.kind is BufferKind.UNIFORM01:
-            self.data[:] = self._gen.random(self.capacity)
+            self._gen.random(out=self.data)
         else:
             pos = 0
             if self._carry is not None:

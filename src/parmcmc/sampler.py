@@ -17,7 +17,7 @@ recompute and the sampler without its hull as oracles that chains must
 match draw for draw.
 
 All randomness is consumed from a DeviateBuffer, so a chain is a pure
-function of (data, prior, config, plan) and the buffer's stream identity.
+function of (data, prior, config, workers) and the buffer's stream identity.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .glm import (DesignMatrix, ExecPlan, GlmWorkspace, _coord_slope, _diff_blocks, commit_update,
+from .glm import (DesignMatrix, GlmWorkspace, _coord_slope, _diff_blocks, commit_update,
                   diff_loglike, loglike_grad)
 from .rng import BufferKind, DeviateBuffer
 
@@ -110,15 +110,14 @@ class SliceStats:
     reused: int = 0          # first answers taken from the stored L, not evaluated
 
 
-def log_posterior_coord(ws: GlmWorkspace, data: DesignMatrix, prior: GaussianPrior,
-                        k: int, delta: float = 0.0, plan: ExecPlan = ExecPlan()) -> float:
+def log_posterior_coord(ws: GlmWorkspace, prior: GaussianPrior, k: int,
+                        delta: float = 0.0, workers: int = 1) -> float:
     """Conditional log posterior of beta_k at beta_current[k] + delta.
 
     Likelihood through diff_loglike, plus the prior's k-term; constants in
-    beta_k are dropped.  Of `plan` only workers is read, as an upper bound;
-    strategy and n_chunks do not apply to a one-column update.
+    beta_k are dropped.
     """
-    ll = diff_loglike(ws, data, k, delta, plan)
+    ll = diff_loglike(ws, k, delta, workers)
     return ll + prior.logpdf_coord(k, ws.beta_current[k] + delta)
 
 
@@ -274,22 +273,20 @@ def slice_moves(x0: float, k: int, rng: DeviateBuffer, cfg: ChainConfig, slope0:
     raise SliceShrinkError(f"slice shrinkage failed to accept (coordinate {k})")
 
 
-def slice_sample_coord(ws: GlmWorkspace, data: DesignMatrix, prior: GaussianPrior,
-                       k: int, rng: DeviateBuffer, cfg: ChainConfig,
-                       plan: ExecPlan = ExecPlan(),
+def slice_sample_coord(ws: GlmWorkspace, prior: GaussianPrior, k: int, rng: DeviateBuffer,
+                       cfg: ChainConfig, workers: int = 1,
                        stats: SliceStats | None = None) -> float:
     """Draw beta_k from its conditional posterior and commit it to the workspace.
 
     Drives `slice_moves` with one diff_loglike evaluation plus the prior
     term per point it yields, after one O(N) pass on the calling thread for
-    the slope its hull needs at the current point; of `plan` only workers is
-    read (an upper bound), never strategy or n_chunks.  x0 is answered from
-    the workspace's stored L when it was summed over this plan's row blocks,
+    the slope its hull needs at the current point.  x0 is answered from the
+    stored L when it was summed over as many row blocks as `workers` gives,
     and L is stored again after the commit if the draw was last evaluated.
     """
     stats = stats if stats is not None else SliceStats()
     x0 = float(ws.beta_current[k])
-    blocks = _diff_blocks(ws.n_rows, plan.workers)
+    blocks = _diff_blocks(ws.n_rows, workers)
     moves = slice_moves(x0, k, rng, cfg, _posterior_slope(ws, prior, k))
     x, d = next(moves), 0.0
     ll = ws.stored_loglike(blocks)
@@ -298,7 +295,7 @@ def slice_sample_coord(ws: GlmWorkspace, data: DesignMatrix, prior: GaussianPrio
         while True:
             if ll is None:
                 stats.evals += 1
-                ll = diff_loglike(ws, data, k, d, plan)
+                ll = diff_loglike(ws, k, d, workers)
             x = moves.send(ll + prior.logpdf_coord(k, x0 + d))
             d, ll = x - x0, None
     except StopIteration as done:
@@ -308,10 +305,10 @@ def slice_sample_coord(ws: GlmWorkspace, data: DesignMatrix, prior: GaussianPrio
         return done.value
 
 
-def _check_slopes(ws: GlmWorkspace, data: DesignMatrix, prior: GaussianPrior) -> None:
+def _check_slopes(ws: GlmWorkspace, prior: GaussianPrior) -> None:
     """Each coordinate's slope against a full gradient; raises AssertionError if off by 1e-8."""
-    g = loglike_grad(data, ws.beta_current).g
-    for k in range(data.n_cols):
+    g = loglike_grad(ws.data, ws.beta_current).g
+    for k in range(ws.n_cols):
         got = _posterior_slope(ws, prior, k)
         want = g[k] + prior.slope_coord(k, ws.beta_current[k])
         if abs(got - want) > 1e-8 * max(abs(want), 1.0):
@@ -319,7 +316,7 @@ def _check_slopes(ws: GlmWorkspace, data: DesignMatrix, prior: GaussianPrior) ->
 
 
 def run_chain(data: DesignMatrix, prior: GaussianPrior, cfg: ChainConfig,
-              plan: ExecPlan = ExecPlan(), rng: DeviateBuffer | None = None,
+              workers: int = 1, rng: DeviateBuffer | None = None,
               debug: bool = False) -> ChainOutput:
     """Systematic-scan Gibbs chain; burn-in draws are discarded.
 
@@ -330,12 +327,11 @@ def run_chain(data: DesignMatrix, prior: GaussianPrior, cfg: ChainConfig,
     checked to 1e-8 per element, and each coordinate's slope against
     `loglike_grad` to 1e-8 relative; after every iteration the stored L at
     beta_current, if any, must equal a fresh diff_loglike exactly.  A
-    mismatch raises AssertionError.  Of
-    `plan` only workers is read, as an upper bound; strategy and n_chunks do
-    not apply to one-column updates.
+    mismatch raises AssertionError.
     """
     if prior.mu.shape != (data.n_cols,):
         raise ValueError(f"prior has {prior.mu.shape[0]} coordinates, data has {data.n_cols}")
+    blocks = _diff_blocks(data.n_rows, workers)
     if rng is None:
         rng = DeviateBuffer(BufferKind.UNIFORM01, seed=cfg.seed)
     ws = GlmWorkspace(data, prior.mu)
@@ -345,16 +341,16 @@ def run_chain(data: DesignMatrix, prior: GaussianPrior, cfg: ChainConfig,
     t0 = time.perf_counter()
     for it in range(cfg.n_iter):
         for k in range(data.n_cols):
-            slice_sample_coord(ws, data, prior, k, rng, cfg, plan, stats)
+            slice_sample_coord(ws, prior, k, rng, cfg, workers, stats)
         if it >= cfg.n_burnin:
             draws[it - cfg.n_burnin] = ws.beta_current
-        stored = ws.stored_loglike(_diff_blocks(data.n_rows, plan.workers)) if debug else None
-        if stored is not None and stored != (fresh := diff_loglike(ws, data, 0, 0.0, plan)):
+        stored = ws.stored_loglike(blocks) if debug else None
+        if stored is not None and stored != (fresh := diff_loglike(ws, 0, 0.0, workers)):
             raise AssertionError(f"stored L at beta_current is {stored!r}, "
                                  f"a fresh evaluation gives {fresh!r}")
         if debug and (it + 1) % 100 == 0:
-            ws.validate(data, tol=1e-8)
-            _check_slopes(ws, data, prior)
+            ws.validate(tol=1e-8)
+            _check_slopes(ws, prior)
     wall = time.perf_counter() - t0
     if not np.isfinite(draws).all():
         raise RuntimeError("chain produced non-finite draws")

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import expit
 
 from parmcmc import sampler
-from parmcmc.glm import loglike
+from parmcmc.glm import ExecPlan, loglike
 
 
 def naive_loglike(x, y, beta) -> float:
@@ -56,18 +56,18 @@ def naive_grad(x, y, beta) -> np.ndarray:
     return g
 
 
-def full_recompute_loglike(ws, data, k: int, delta: float, plan) -> float:
-    """`loglike` at ws.beta_current with coordinate k moved by delta.
+def full_recompute_loglike(ws, k: int, delta: float, workers: int = 1) -> float:
+    """`loglike` of ws.data at ws.beta_current with coordinate k moved by delta.
 
     The full O(N*K) recompute that the differential update replaces, with
-    `parmcmc.sampler.diff_loglike`'s signature so a test can substitute it
-    with monkeypatch and run a chain on it.  It is the one oracle here built
-    on a package kernel; `loglike` is itself checked against `naive_loglike`
-    (tests/test_glm.py).
+    `parmcmc.sampler.diff_loglike`'s signature (ws, k, delta, workers) so a
+    test can substitute it with monkeypatch and run a chain on it.  It is
+    the one oracle here built on a package kernel; `loglike` is itself
+    checked against `naive_loglike` (tests/test_glm.py).
     """
     beta = ws.beta_current.copy()
     beta[k] += delta
-    return loglike(data, beta, plan)
+    return loglike(ws.data, beta, ExecPlan(workers=workers))
 
 
 def fd_gradient(func, beta, coords=None, h_scale: float = 1e-6) -> dict[int, float]:

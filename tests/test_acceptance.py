@@ -103,18 +103,17 @@ def test_criterion_3_diff_update_correctness_and_benefit(monkeypatch):
     prior50 = GaussianPrior.isotropic(50, sigma=5.0)
     beta0 = np.random.default_rng(302).normal(0.0, 0.3, 50)
     ws = GlmWorkspace(big, beta0)
-    plan = ExecPlan(Strategy.PLF, workers=1)
 
     def timed() -> float:
         gen = np.random.default_rng(303)
         for _ in range(3):  # warm-up
-            log_posterior_coord(ws, big, prior50, 7, 0.1, plan)
+            log_posterior_coord(ws, prior50, 7, 0.1)
         times = []
         for _ in range(15):
             k = int(gen.integers(50))
             delta = float(gen.normal(0.0, 0.1))
             t0 = time.perf_counter()
-            log_posterior_coord(ws, big, prior50, k, delta, plan)
+            log_posterior_coord(ws, prior50, k, delta)
             times.append(time.perf_counter() - t0)
         return statistics.median(times)
 

@@ -148,11 +148,19 @@ def test_glm_sample_synthetic(tmp_path, capsys):
 
 def test_glm_sample_rejects_removed_path_flags(tmp_path):
     # the differential update is the only evaluation path, and the chain's
-    # plan is just its worker count
+    # only parallel setting is its worker count
     args = ["glm-sample", "--synthetic", "150,3", "--iters", "30", "--burnin", "5",
             "--out", str(tmp_path / "d.csv")]
     assert cli.main(args + ["--no-diff-update"]) == 2
     assert cli.main(args + ["--strategy", "som"]) == 2
+
+
+def test_glm_sample_zero_workers_is_input_error(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert cli.main(["glm-sample", "--synthetic", "150,3", "--iters", "30", "--burnin", "5",
+                     "--workers", "0", "--out", str(out)]) == 2
+    assert "workers must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_glm_sample_reads_csv(tmp_path):

@@ -210,7 +210,7 @@ def test_no_strategy_copies_x_on_design_matrix(op, strategy):
 def test_diff_loglike_zero_delta_equals_loglike():
     data, beta = random_instance(64, 6, seed=5)
     ws = GlmWorkspace(data, beta)
-    assert diff_loglike(ws, data, 2, 0.0) == pytest.approx(loglike(data, beta), rel=1e-12)
+    assert diff_loglike(ws, 2, 0.0) == pytest.approx(loglike(data, beta), rel=1e-12)
 
 
 def test_diff_loglike_equals_full_recompute():
@@ -222,7 +222,7 @@ def test_diff_loglike_equals_full_recompute():
         delta = float(gen.normal())
         perturbed = beta.copy()
         perturbed[k] += delta
-        assert rel_err(diff_loglike(ws, data, k, delta),
+        assert rel_err(diff_loglike(ws, k, delta),
                        loglike(data, perturbed)) < 1e-8
 
 
@@ -230,7 +230,7 @@ def test_diff_loglike_does_not_mutate():
     data, beta = random_instance(50, 3, seed=2)
     ws = GlmWorkspace(data, beta)
     before = ws.xbeta.copy()
-    diff_loglike(ws, data, 1, 2.5)
+    diff_loglike(ws, 1, 2.5)
     np.testing.assert_array_equal(ws.xbeta, before)
     np.testing.assert_array_equal(ws.beta_current, beta)
 
@@ -239,9 +239,17 @@ def test_diff_loglike_requires_transpose_and_valid_coord():
     data, beta = random_instance(10, 3, seed=2)
     ws = GlmWorkspace(data, beta)
     with pytest.raises(IndexError):
-        diff_loglike(ws, data, 3, 0.1)
+        diff_loglike(ws, 3, 0.1)
     with pytest.raises(IndexError):
         commit_update(ws, -1, 0.1)
+
+
+def test_diff_loglike_rejects_zero_workers():
+    data, beta = random_instance(10, 3, seed=2)
+    ws = GlmWorkspace(data, beta)
+    assert ws.data is data
+    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+        diff_loglike(ws, 0, 0.1, workers=0)
 
 
 def test_diff_loglike_below_the_row_floor_runs_as_one_block():
@@ -249,21 +257,21 @@ def test_diff_loglike_below_the_row_floor_runs_as_one_block():
     # worker count gives the one-worker bits from one merge
     data, beta = random_instance(2 * _DIFF_MIN_ROWS - 1, 3, seed=9)
     ws = GlmWorkspace(data, beta)
-    ref = diff_loglike(ws, data, 1, 0.4)
+    ref = diff_loglike(ws, 1, 0.4)
     for workers in (2, 4):
         counters.reset()
-        assert diff_loglike(ws, data, 1, 0.4, ExecPlan(workers=workers)) == ref
+        assert diff_loglike(ws, 1, 0.4, workers) == ref
         assert counters.snapshot().merge_events == 1
 
 
 def test_diff_loglike_forks_at_the_row_floor():
-    # 2 * _DIFF_MIN_ROWS rows fill two workers, however many the plan offers
+    # 2 * _DIFF_MIN_ROWS rows fill two workers, however many are offered
     data, beta = random_instance(2 * _DIFF_MIN_ROWS, 3, seed=10)
     ws = GlmWorkspace(data, beta)
-    ref = diff_loglike(ws, data, 2, -0.3)
+    ref = diff_loglike(ws, 2, -0.3)
     for workers in (2, 4):
         counters.reset()
-        assert rel_err(diff_loglike(ws, data, 2, -0.3, ExecPlan(workers=workers)), ref) < 1e-8
+        assert rel_err(diff_loglike(ws, 2, -0.3, workers), ref) < 1e-8
         assert counters.snapshot().merge_events == 2
 
 
@@ -313,7 +321,7 @@ def test_diff_flop_count_is_small_fraction_of_full():
     loglike(data, beta)
     full_flops = counters.snapshot().flops
     counters.reset()
-    diff_loglike(ws, data, 7, 0.3)
+    diff_loglike(ws, 7, 0.3)
     diff_flops = counters.snapshot().flops
     assert diff_flops <= full_flops / 10
 
@@ -333,7 +341,7 @@ def test_stored_loglike_outlives_reads_and_zero_moves_only():
     ws = GlmWorkspace(data, beta)
     assert ws.stored_loglike(1) is None
     ws.store_loglike(-7.5, 1)
-    diff_loglike(ws, data, 2, 0.3)
+    diff_loglike(ws, 2, 0.3)
     commit_update(ws, 1, 0.0)
     assert ws.stored_loglike(1) == -7.5 and ws.stored_loglike(2) is None
     commit_update(ws, 1, 0.2)
@@ -348,10 +356,10 @@ def test_commit_sequence_stays_quiescent():
         k = int(gen.integers(6))
         delta = float(gen.normal(0, 0.5))
         if gen.random() < 0.5:
-            diff_loglike(ws, data, k, delta)  # read-only interleaving
+            diff_loglike(ws, k, delta)  # read-only interleaving
         else:
             commit_update(ws, k, delta)
-    assert ws.validate(data, tol=1e-10) <= 1e-10
+    assert ws.validate(tol=1e-10) <= 1e-10
 
 
 def test_commit_then_revert_restores_xbeta():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from parmcmc import hb, parallel, sampler
-from parmcmc.glm import _DIFF_MIN_ROWS, DesignMatrix, ExecPlan, diff_loglike, synthetic_logistic
+from parmcmc.glm import _DIFF_MIN_ROWS, DesignMatrix, diff_loglike, synthetic_logistic
 from parmcmc.instrumentation import counters
 from parmcmc.hb import (HbDataset, HbState, MappingMode, MappingPolicy,
                         hb_benchmark, hb_sweep, synthetic_hb_dataset)
@@ -209,8 +209,8 @@ def test_alternating_mappings_share_the_bucket_block_views():
         betas = hb_sweep(ds, state, prior, fine if t % 2 else coarse)
     for a, b in zip(b_coarse, betas):
         assert np.array_equal(a, b)
-    for ws, group in zip(state.workspaces, groups):
-        ws.validate(group, tol=1e-10)
+    for ws in state.workspaces:
+        ws.validate(tol=1e-10)
 
 
 def test_state_builds_the_transposed_x_once_into_its_bucket_blocks():
@@ -235,7 +235,7 @@ def test_state_builds_the_transposed_x_once_into_its_bucket_blocks():
             assert np.shares_memory(ws.xbeta, bucket.xbeta)
     for ws, group in zip(state.workspaces, groups):
         assert ws.n_rows == group.n_rows
-        ws.validate(group, tol=0.0)
+        ws.validate(tol=0.0)
 
 
 def test_fine_above_the_row_floor_forks_and_matches_coarse():
@@ -264,14 +264,14 @@ def test_alternating_mappings_above_the_row_floor_never_share_a_stored_loglike()
         state = HbState(ds, prior, seed=9)
         betas = []
         for t in range(6):
-            for ws, group in zip(state.workspaces, groups):
+            for ws in state.workspaces:
                 if clear:
                     ws._stored = None
                 blocks = 1 + t % 2
                 stored = ws.stored_loglike(blocks)
-                fresh = diff_loglike(ws, group, 0, 0.0, ExecPlan(workers=blocks))
+                fresh = diff_loglike(ws, 0, 0.0, blocks)
                 assert stored is None or stored == fresh
-                other = diff_loglike(ws, group, 0, 0.0, ExecPlan(workers=3 - blocks))
+                other = diff_loglike(ws, 0, 0.0, 3 - blocks)
                 split_rounds += fresh != other
             betas.append(np.stack(hb_sweep(ds, state, prior, policies[t % 2])))
         runs.append((np.stack(betas), state.total_evals))

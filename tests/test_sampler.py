@@ -3,7 +3,7 @@ import pytest
 from scipy.special import expit
 
 from parmcmc import sampler
-from parmcmc.glm import DesignMatrix, ExecPlan, GlmWorkspace, Strategy, loglike, synthetic_logistic
+from parmcmc.glm import DesignMatrix, ExecPlan, GlmWorkspace, loglike, synthetic_logistic
 from parmcmc.rng import BufferKind, DeviateBuffer
 from parmcmc.sampler import (ChainConfig, GaussianPrior, SliceShrinkError, SliceStats,
                              SliceWidenError, log_posterior_coord, run_chain, slice_moves,
@@ -29,7 +29,7 @@ def test_log_posterior_matches_full_recompute_oracle():
     for _ in range(15):
         k = int(gen.integers(data.n_cols))
         delta = float(gen.normal())
-        got = log_posterior_coord(ws, data, prior, k, delta)
+        got = log_posterior_coord(ws, prior, k, delta)
         value = beta[k] + delta
         expected = (naive_loglike(data.x, data.y, np.r_[beta[:k], value, beta[k + 1:]])
                     - 0.5 * ((value - prior.mu[k]) / prior.sigma[k]) ** 2)
@@ -40,7 +40,7 @@ def test_log_posterior_flat_prior_is_nearly_loglike():
     data, beta, _ = small_problem(seed=4)
     flat = GaussianPrior.isotropic(data.n_cols, sigma=1e6)
     ws = GlmWorkspace(data, beta)
-    lp = log_posterior_coord(ws, data, flat, 0, 0.0)
+    lp = log_posterior_coord(ws, flat, 0, 0.0)
     ll = loglike(data, beta)
     assert abs(lp - ll) < 1e-9
 
@@ -53,10 +53,10 @@ def test_empty_likelihood_is_rejected_at_construction():
 def test_diff_and_full_paths_agree(monkeypatch):
     data, beta, prior = small_problem(seed=5)
     ws = GlmWorkspace(data, beta)
-    diff = [log_posterior_coord(ws, data, prior, k, 0.3) for k in range(data.n_cols)]
+    diff = [log_posterior_coord(ws, prior, k, 0.3) for k in range(data.n_cols)]
     monkeypatch.setattr(sampler, "diff_loglike", full_recompute_loglike)
     for k, a in enumerate(diff):
-        b = log_posterior_coord(ws, data, prior, k, 0.3)
+        b = log_posterior_coord(ws, prior, k, 0.3)
         assert abs(a - b) / max(abs(a), 1.0) < 1e-12
 
 
@@ -123,7 +123,7 @@ def test_stepping_out_abort_on_pathological_target():
     buf = DeviateBuffer(BufferKind.UNIFORM01, seed=1)
     cfg = ChainConfig(n_iter=1, n_burnin=0, slice_width=1.0, slice_max_steps=5)
     with pytest.raises(SliceWidenError):
-        slice_sample_coord(ws, data, wide, 0, buf, cfg)
+        slice_sample_coord(ws, wide, 0, buf, cfg)
     assert prior is not wide
 
 
@@ -232,7 +232,7 @@ def test_eval_counter_accumulates():
     buf = DeviateBuffer(BufferKind.UNIFORM01, seed=3)
     cfg = ChainConfig(n_iter=1, n_burnin=0)
     stats = SliceStats()
-    slice_sample_coord(ws, data, prior, 0, buf, cfg, stats=stats)
+    slice_sample_coord(ws, prior, 0, buf, cfg, stats=stats)
     assert stats.evals >= 3  # f0, level checks, acceptance
 
 
@@ -266,7 +266,7 @@ def test_chain_matches_no_hull_oracle(monkeypatch, n, k, sigma, seed, workers):
     for moves_fn in (slice_moves, no_hull_slice_moves):
         monkeypatch.setattr(sampler, "slice_moves", moves_fn)
         rng = DeviateBuffer(BufferKind.UNIFORM01, seed=seed)
-        runs.append((run_chain(data, prior, cfg, ExecPlan(workers=workers), rng=rng),
+        runs.append((run_chain(data, prior, cfg, workers, rng=rng),
                      rng.consumed))
     (hull, used), (oracle, oracle_used) = runs
     assert np.array_equal(hull.draws, oracle.draws)
@@ -286,7 +286,7 @@ def test_chain_matches_forced_miss_oracle(monkeypatch, n, k, sigma, seed, worker
     for store in (GlmWorkspace.store_loglike, lambda ws, value, blocks: None):
         monkeypatch.setattr(GlmWorkspace, "store_loglike", store)
         rng = DeviateBuffer(BufferKind.UNIFORM01, seed=seed)
-        runs.append((run_chain(data, prior, cfg, ExecPlan(workers=workers), rng=rng),
+        runs.append((run_chain(data, prior, cfg, workers, rng=rng),
                      rng.consumed))
     (stored, used), (oracle, oracle_used) = runs
     assert np.array_equal(stored.draws, oracle.draws)
@@ -307,21 +307,38 @@ def test_a_draw_that_keeps_x0_keeps_the_stored_loglike(monkeypatch):
     monkeypatch.setattr(sampler, "slice_moves", stay)
     stats = SliceStats()
     for k in (0, 1, 0):
-        slice_sample_coord(ws, data, prior, k, buf, ChainConfig(n_iter=1, n_burnin=0),
+        slice_sample_coord(ws, prior, k, buf, ChainConfig(n_iter=1, n_burnin=0),
                            stats=stats)
-        assert ws.stored_loglike(1) == sampler.diff_loglike(ws, data, 0, 0.0)
+        assert ws.stored_loglike(1) == sampler.diff_loglike(ws, 0, 0.0)
     assert (stats.evals, stats.reused) == (1, 2)
 
 
 def test_chain_draws_independent_of_plan():
     data, _, prior = small_problem(n=300, k=4, seed=9)
     cfg = ChainConfig(n_iter=80, n_burnin=20, seed=13)
-    ref = run_chain(data, prior, cfg, ExecPlan(Strategy.PLF, workers=1))
-    for plan in (ExecPlan(Strategy.PLF, workers=4),
-                 ExecPlan(Strategy.SOM, workers=2),
-                 ExecPlan(Strategy.PLF_CHUNKED, workers=2, n_chunks=3)):
-        other = run_chain(data, prior, cfg, plan)
-        assert np.max(np.abs(other.draws - ref.draws)) <= 1e-6, plan
+    ref = run_chain(data, prior, cfg, workers=1)
+    for workers in (2, 3, 4):
+        other = run_chain(data, prior, cfg, workers)
+        assert np.max(np.abs(other.draws - ref.draws)) <= 1e-6, workers
+
+
+def test_chain_refuses_an_exec_plan():
+    # a one-column update has no strategy or chunks to choose; only a worker count
+    data, _, prior = small_problem(n=50, k=2)
+    with pytest.raises(TypeError):
+        run_chain(data, prior, ChainConfig(n_iter=2, n_burnin=0), ExecPlan(workers=2))
+
+
+def test_zero_workers_is_rejected():
+    data, _, prior = small_problem(n=50, k=2)
+    msg = "workers must be >= 1, got 0"
+    with pytest.raises(ValueError, match=msg):
+        run_chain(data, prior, ChainConfig(n_iter=2, n_burnin=0), workers=0)
+    ws = GlmWorkspace(data, prior.mu)
+    buf = DeviateBuffer(BufferKind.UNIFORM01, seed=1)
+    with pytest.raises(ValueError, match=msg):
+        slice_sample_coord(ws, prior, 0, buf, ChainConfig(n_iter=1, n_burnin=0), workers=0)
+    assert buf.consumed == 0 and ws.stored_loglike(1) is None
 
 
 def test_chain_debug_mode_validates_workspace():
