@@ -24,14 +24,6 @@ _DESC = {
 }
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
-
-
-def _str_list(text: str) -> list[str]:
-    return [v.strip().lower() for v in text.split(",") if v.strip()]
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="parmcmc")
     sub = p.add_subparsers(dest="command", required=True)
@@ -55,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("glm-sample", help=_DESC["glm-sample"])
     src = g.add_mutually_exclusive_group(required=True)
     src.add_argument("--data", help="CSV: K covariate columns + 0/1 response column")
-    src.add_argument("--synthetic", type=_int_list, metavar="N,K",
+    src.add_argument("--synthetic", type=perf._ints, metavar="N,K",
                      help="generate a seeded synthetic instance")
     g.add_argument("--iters", type=int, default=2000)
     g.add_argument("--burnin", type=int, default=500)
@@ -70,10 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
     h = sub.add_parser("hb-bench", help=_DESC["hb-bench"])
     h.add_argument("--groups", type=int, default=20, help="number of regression groups")
     h.add_argument("--K", type=int, default=10)
-    h.add_argument("--navg", type=_int_list, default=[1000], help="rows per group, grid axis")
-    h.add_argument("--neval", type=_int_list, default=[1, 10])
-    h.add_argument("--modes", type=_str_list, default=["coarse", "fine"])
-    h.add_argument("--workers", type=_int_list, default=[1])
+    h.add_argument("--navg", type=perf._ints, default=[1000], help="rows per group, grid axis")
+    h.add_argument("--neval", type=perf._ints, default=[1, 10])
+    h.add_argument("--modes", type=perf._words, default=["coarse", "fine"])
+    h.add_argument("--workers", type=perf._ints, default=[1])
     h.add_argument("--sweeps", type=int, default=3)
     h.add_argument("--reps", type=int, default=3)
     h.add_argument("--seed", type=int, default=0)
@@ -93,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     i.set_defaults(func=cmd_ising_denoise)
 
     r = sub.add_parser("rng-bench", help=_DESC["rng-bench"])
-    r.add_argument("--dists", type=_str_list, default=["uniform", "normal", "gamma"])
-    r.add_argument("--modes", type=_str_list, default=["oaat", "batch"])
+    r.add_argument("--dists", type=perf._words, default=["uniform", "normal", "gamma"])
+    r.add_argument("--modes", type=perf._words, default=["oaat", "batch"])
     r.add_argument("--n", type=int, default=1_000_000)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--out", default="rng_bench.csv")

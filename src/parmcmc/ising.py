@@ -19,9 +19,10 @@ over its (free-boundary) neighbors.  The neighbor sum is an integer in
 [-4, 4], so z_i takes at most 9 values per distinct bias: the partition
 evaluates conditional_prob once for each, into a table of
 9 * (distinct biases) entries per color, and a half-update looks its
-probabilities up by exact integer index.  The table snapshots the coupling
-w at build time.  The joint distribution these conditionals leave
-invariant is P(s) ~ exp((b.s + w * sum_edges s_i s_j)/2).
+probabilities up by exact integer index.  A lattice's biases and coupling
+are fixed at construction, so its table never goes stale.  The joint
+distribution these conditionals leave invariant is
+P(s) ~ exp((b.s + w * sum_edges s_i s_j)/2).
 
 Uniform deviates are pre-assigned to nodes by packed index *before* a
 color updates, so the intra-color update order is immaterial and the
@@ -29,6 +30,8 @@ trajectory is a pure function of the stream.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -42,23 +45,37 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, eq=False)
 class IsingLattice:
-    """Spin grid (int8, values +-1), its own copy of a bias grid, uniform coupling."""
+    """Spin grid (int8, values +-1), read-only bias grid, uniform coupling.
 
-    def __init__(self, s, b, w: float):
-        s = np.asarray(s)
-        b = np.array(b, dtype=np.float64, order="C")
+    Construction copies `s` and `b` in C order and builds the checkerboard
+    `partition` once.  No field can be reassigned and `b` is read-only, so
+    the partition matches the lattice for its whole life.  Spins may be
+    edited in place, then synced with `partition.pack_from()`.
+    """
+
+    s: np.ndarray
+    b: np.ndarray
+    w: float
+    partition: ColorPartition = field(init=False, repr=False)
+
+    def __post_init__(self):
+        s = np.asarray(self.s)
+        b = np.array(self.b, dtype=np.float64, order="C")
         if s.ndim != 2 or s.size == 0:
             raise ValueError(f"spin grid must be non-empty 2-D, got shape {s.shape}")
         if b.shape != s.shape:
             raise ValueError(f"bias shape {b.shape} != spin shape {s.shape}")
         if not np.isin(s, (-1, 1)).all():
             raise ValueError("spins must be -1 or +1")
-        if not np.isfinite(b).all() or not np.isfinite(w):
+        if not np.isfinite(b).all() or not np.isfinite(self.w):
             raise ValueError("bias and coupling must be finite")
-        self.s = s.astype(np.int8)
-        self.b = b
-        self.w = float(w)
+        b.setflags(write=False)
+        object.__setattr__(self, "s", np.array(s, dtype=np.int8, order="C"))
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "w", float(self.w))
+        object.__setattr__(self, "partition", ColorPartition(self))
 
     @property
     def height(self) -> int:
@@ -103,18 +120,14 @@ class ColorPartition:
     and base[c] gives each node the index of its bias's n = 0 entry, so
     the node's probability is table[c][base[c] + n].  Each entry is
     conditional_prob(b + w * n), the same float operations as evaluating
-    the node directly.  The table snapshots the lattice's w (kept as
-    `coupling`) as packed_b snapshots its biases, so a partition serves
-    only the lattice it was built from (kept as `lattice`), at the
-    coupling it had then.  The build makes lat.b (kept as `biases`)
-    read-only, so an in-place bias edit raises instead of going unseen.
+    the node directly.  A lattice builds its own partition, which keeps a
+    flat view of the lattice's spin grid and no reference to the lattice.
     """
 
     def __init__(self, lat: IsingLattice):
         h, w = lat.height, lat.width
         n = h * w
-        self.lattice = lat
-        self.coupling = lat.w
+        self._flat_s = lat.s.ravel()  # a view: the lattice's grid is C-ordered
         # nodes 2k and 2k + 1 differ in color, so color c's k-th node is one of them
         first = 2 * np.arange((n + 1) // 2)
         self.colors = []
@@ -123,8 +136,6 @@ class ColorPartition:
             i, j = np.divmod(first_c, w)
             self.colors.append(first_c + ((i + j + c) & 1))
 
-        self.biases = lat.b
-        self.biases.setflags(write=False)
         flat_b = lat.b.ravel()
         self.packed_b = [flat_b[self.colors[c]] for c in (0, 1)]
         # padded spin arrays: slot n_c is the sentinel and stays 0
@@ -142,23 +153,21 @@ class ColorPartition:
                 nbr[d][off_grid] = self.colors[1 - c].size  # the sentinel slot
             self.packed_nbr.append(nbr)
             ub, inv = np.unique(self.packed_b[c], return_inverse=True)
-            self.table.append(conditional_prob(ub[:, None] + self.coupling * nsum).ravel())
+            self.table.append(conditional_prob(ub[:, None] + lat.w * nsum).ravel())
             self.base.append(inv * 9 + 4)
-        self.pack_from(lat)
+        self.pack_from()
 
     @property
     def packed_s(self) -> list[np.ndarray]:
         return [self._s_padded[c][:-1] for c in (0, 1)]
 
-    def pack_from(self, lat: IsingLattice) -> None:
-        flat = lat.s.ravel()
+    def pack_from(self) -> None:
         for c in (0, 1):
-            self._s_padded[c][:-1] = flat[self.colors[c]]
+            self._s_padded[c][:-1] = self._flat_s[self.colors[c]]
 
-    def unpack_into(self, lat: IsingLattice) -> None:
-        flat = lat.s.ravel()
+    def unpack_into(self) -> None:
         for c in (0, 1):
-            flat[self.colors[c]] = self._s_padded[c][:-1]
+            self._flat_s[self.colors[c]] = self._s_padded[c][:-1]
 
     def neighbor_spin_sum(self, c: int) -> np.ndarray:
         """Exact int8 neighbor sums in [-4, 4] for color c (fresh gather)."""
@@ -170,29 +179,21 @@ class ColorPartition:
 
 
 def color_lattice(lat: IsingLattice) -> ColorPartition:
-    """Build the checkerboard partition with packed per-color arrays."""
-    return ColorPartition(lat)
+    """The lattice's checkerboard partition, built with the lattice."""
+    return lat.partition
 
 
-def gibbs_sweep(lat: IsingLattice, part: ColorPartition, rng_buffer: DeviateBuffer) -> None:
+def gibbs_sweep(lat: IsingLattice, rng_buffer: DeviateBuffer) -> None:
     """One full Gibbs sweep: update color 0 against frozen color 1, then color 1.
 
     Node i becomes +1 iff u_i < conditional_prob(z_i), with u_i assigned by
     packed index before the color's update; the probability is looked up
     in the partition's table at the node's base index plus its neighbor
     sum.  The partition's packed spins are the chain's state and the
-    lattice grid is an output, overwritten on return: spins edited
-    between sweeps are lost unless `part.pack_from(lat)` is called first.
-    Raises ValueError if `part` was built from another lattice, or `lat.w`
-    has changed or `lat.b` been replaced since.
+    lattice grid is an output, overwritten on return: spins edited between
+    sweeps are lost unless `lat.partition.pack_from()` is called first.
     """
-    if lat is not part.lattice:
-        raise ValueError("partition was built from another lattice")
-    if lat.w != part.coupling:
-        raise ValueError(f"coupling changed from {part.coupling} to {lat.w} "
-                         "since the partition was built")
-    if lat.b is not part.biases:
-        raise ValueError("biases replaced since the partition was built")
+    part = lat.partition
     for c in (0, 1):
         idx = part.base[c] + part.neighbor_spin_sum(c)
         u = rng_buffer.take(idx.size)
@@ -200,7 +201,7 @@ def gibbs_sweep(lat: IsingLattice, part: ColorPartition, rng_buffer: DeviateBuff
         np.less(u, part.table[c].take(idx), out=s.view(np.bool_))
         s *= 2  # {0, 1} -> {-1, +1}
         s -= 1
-    part.unpack_into(lat)
+    part.unpack_into()
 
 
 def denoise(noisy_image, w: float = 1.0, bias_scale: float = 2.0, sweeps: int = 30,
@@ -217,13 +218,12 @@ def denoise(noisy_image, w: float = 1.0, bias_scale: float = 2.0, sweeps: int = 
     lat = IsingLattice.from_image(noisy_image, w=w, bias_scale=bias_scale)
     if sweeps < 0 or burnin < 0:
         raise ValueError("sweeps and burnin must be >= 0")
-    part = color_lattice(lat)
     buf = DeviateBuffer(BufferKind.UNIFORM01, seed=seed)
     acc = np.zeros(lat.s.shape, dtype=np.int32)  # exact spin sums
     kept = 0
     for t in range(sweeps):
         before = lat.s.copy() if trace_out is not None else None
-        gibbs_sweep(lat, part, buf)
+        gibbs_sweep(lat, buf)
         if trace_out is not None:
             trace_out.append(float(np.count_nonzero(lat.s != before)) / lat.s.size)
         if t >= burnin:

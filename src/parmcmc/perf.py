@@ -201,18 +201,31 @@ def write_bench_csv(records: list[BenchRecord], path,
             writer.writerow([f"{cell} [failed: {msg}]"] + [""] * 7)
 
 
+def _items(text: str) -> list[str]:
+    """The stripped items of a comma-separated list; an empty item raises ValueError."""
+    items = [v.strip() for v in text.split(",")]
+    if "" in items:
+        raise ValueError(f"empty item in {text!r}")
+    return items
+
+
 def _ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",")]
+    return [int(v) for v in _items(text)]
+
+
+def _words(text: str) -> list[str]:
+    return [v.lower() for v in _items(text)]
 
 
 def _hw_number(text: str) -> int | float:
     return float(text) if "." in text else int(text)
 
 
-#: each grid key's one text parser, shared by grid files and `parmcmc bench` flags
+#: each grid key's one text parser, shared by grid files and `parmcmc bench` flags;
+#: `_ints` and `_words` also parse the other commands' list flags
 _PARSERS = {
     "n_rows": _ints, "n_cols": _ints, "workers": _ints, "chunks": _ints,
-    "strategies": lambda text: [Strategy(v.strip().lower()) for v in text.split(",")],
+    "strategies": lambda text: [Strategy(v) for v in _words(text)],
     "op": str.lower, "evals": int, "reps": int, "warmup": int, "seed": int,
     **{f.name: float if f.name.endswith("_ghz") else _hw_number
        for f in fields(HardwareDescriptor)},
@@ -268,6 +281,9 @@ def parse_grid_config(path) -> GridConfig:
 
 def region_overhead_probe(workers: int, reps: int = 200) -> float:
     """Median wall seconds to open and close one empty region of `workers` tasks."""
+    if workers < 1 or reps < 1:
+        raise ValueError(f"workers and reps must be >= 1, got workers={workers}, reps={reps}")
+
     def noop():
         return None
 

@@ -31,6 +31,12 @@ import numpy as np
 
 from .perf import REFERENCE_MACHINE
 
+__all__ = [
+    "BufferKind", "RngDrainError", "DeviateBuffer", "OneAtATimeUniform", "OneAtATimeNormal",
+    "GammaParams", "gamma_sample", "dirichlet_sample",
+    "BenchDist", "BenchMode", "RngBenchRecord", "rng_bench", "write_rng_bench_csv",
+]
+
 
 class BufferKind(Enum):
     UNIFORM01 = "uniform01"

@@ -90,8 +90,8 @@ class ChainConfig:
             raise ValueError("n_iter must be >= 1")
         if not 0 <= self.n_burnin < self.n_iter:
             raise ValueError("need 0 <= n_burnin < n_iter")
-        if not self.slice_width > 0:
-            raise ValueError("slice_width must be > 0")
+        if not 0 < self.slice_width < math.inf:
+            raise ValueError(f"slice_width must be finite and > 0, got {self.slice_width}")
         if self.slice_max_steps < 1:
             raise ValueError("slice_max_steps must be >= 1")
 

@@ -12,7 +12,7 @@ import numpy as np
 import parmcmc as pm
 from parmcmc.glm import ExecPlan, GlmWorkspace, Strategy, loglike, loglike_grad, synthetic_logistic
 from parmcmc.instrumentation import counters
-from parmcmc.ising import IsingLattice, color_lattice, denoise, flip_noise, gibbs_sweep, synthetic_binary_image
+from parmcmc.ising import IsingLattice, denoise, flip_noise, gibbs_sweep, synthetic_binary_image
 from parmcmc.perf import REFERENCE_MACHINE, compute_min_cpr, memory_min_cpr, write_bench_csv
 from parmcmc.rng import (BenchDist, BenchMode, BufferKind, DeviateBuffer, GammaParams,
                          gamma_sample, rng_bench)
@@ -137,13 +137,12 @@ def test_criterion_4_ising_exactness():
     b = gen.uniform(-0.5, 0.5, size=(3, 3))
     w = 0.4
     lat = IsingLattice(gen.choice([-1, 1], size=(3, 3)).astype(np.int8), b, w)
-    part = color_lattice(lat)
     buf = DeviateBuffer(BufferKind.UNIFORM01, seed=43)
     weights = (1 << np.arange(9)).astype(np.int64)
     counts = np.zeros(512, dtype=np.int64)
     sweeps = 1_000_000
     for _ in range(sweeps):
-        gibbs_sweep(lat, part, buf)
+        gibbs_sweep(lat, buf)
         counts[int(((lat.s.ravel() > 0) * weights).sum())] += 1
     exact = np.zeros(512)
     for state, p in enumerate_boltzmann(b, w).items():

@@ -2,6 +2,7 @@ import csv
 import re
 
 import numpy as np
+import pytest
 
 from parmcmc import cli, perf
 from parmcmc.ising import flip_noise, read_pbm, synthetic_binary_image, write_pbm
@@ -98,6 +99,9 @@ def test_bench_bad_value_names_its_key(tmp_path, capsys):
     assert cli.main(["bench", "--N", "10", "--K", "2", "--evals", "x",
                      "--out", str(tmp_path / "x.csv")]) == 2
     assert "evals = 'x'" in capsys.readouterr().err
+    assert cli.main(["bench", "--N", "1000,", "--K", "2", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "n_rows = '1000,': empty item" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_bench_internal_error_returns_one(tmp_path, monkeypatch):
@@ -283,6 +287,20 @@ def test_rng_bench_cli(tmp_path):
     assert rc == 0
     _, rows = read_csv_rows(out)
     assert len(rows) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["hb-bench", "--navg="], ["hb-bench", "--navg", "300,"], ["hb-bench", "--workers="],
+    ["hb-bench", "--neval="], ["hb-bench", "--modes="], ["hb-bench", "--modes", "coarse,,fine"],
+    ["rng-bench", "--dists="], ["rng-bench", "--modes="], ["rng-bench", "--modes", "oaat,"],
+    ["glm-sample", "--synthetic", "200,"],
+])
+def test_an_empty_list_or_item_is_a_usage_error_naming_its_flag(tmp_path, capsys, argv):
+    out = tmp_path / "o.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    flag = argv[1].split("=")[0]
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_command_is_usage_error():

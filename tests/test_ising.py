@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -61,7 +63,7 @@ def test_single_node_lattice():
     part = color_lattice(lat)
     assert part.colors[0].size == 1 and part.colors[1].size == 0
     buf = DeviateBuffer(BufferKind.UNIFORM01, seed=0)
-    gibbs_sweep(lat, part, buf)  # no neighbors; bias-only update
+    gibbs_sweep(lat, buf)  # no neighbors; bias-only update
     assert lat.s[0, 0] in (-1, 1)
 
 
@@ -85,7 +87,7 @@ def test_pack_unpack_round_trip(shape):
     original = lat.s.copy()
     part = color_lattice(lat)
     lat.s[:] = 0  # clobber, then restore from packed arrays
-    part.unpack_into(lat)
+    part.unpack_into()
     np.testing.assert_array_equal(lat.s, original)
 
 
@@ -140,7 +142,7 @@ def test_sweep_matches_naive_in_any_intra_color_order(seed):
         orders.append(nodes)
     expected = naive_sweep(lat.s, lat.b, lat.w, mapping, order0=orders[0], order1=orders[1])
     buf = DeviateBuffer(BufferKind.UNIFORM01, seed=100 + seed)
-    gibbs_sweep(lat, part, buf)
+    gibbs_sweep(lat, buf)
     np.testing.assert_array_equal(lat.s, expected)
 
 
@@ -153,7 +155,7 @@ def test_many_sweeps_match_naive_oracle():
     buf = DeviateBuffer(BufferKind.UNIFORM01, seed=23)
     oracle_buf = DeviateBuffer(BufferKind.UNIFORM01, seed=23)
     for _ in range(40):
-        gibbs_sweep(lat, part, buf)
+        gibbs_sweep(lat, buf)
         mapping = _take_deviate_map(lat, part, oracle_buf)
         expected = naive_sweep(expected, lat.b, lat.w, mapping)
         np.testing.assert_array_equal(lat.s, expected)
@@ -165,11 +167,10 @@ def _denoise_lattice():
 
 
 def _signed_zero_lattice():
-    lat = random_lattice(6, 7, coupling=-0.6, seed=14)
-    lat.b[:] = 0.0
-    lat.b[::2, 1::2] = -0.0
-    lat.b[:, ::3] = 0.5
-    return lat
+    b = np.zeros((6, 7))
+    b[::2, 1::2] = -0.0
+    b[:, ::3] = 0.5
+    return IsingLattice(random_lattice(6, 7, seed=14).s, b, -0.6)
 
 
 TABLE_CASES = {
@@ -189,12 +190,11 @@ def test_table_sweeps_match_the_per_node_formula(case):
     # the table lookup must give the bits of evaluating expit(b + w * n)
     # at every node, sweep after sweep
     lat = TABLE_CASES[case]()
-    part = color_lattice(lat)
     expected = lat.s.copy()
     buf = DeviateBuffer(BufferKind.UNIFORM01, seed=31)
     oracle_buf = DeviateBuffer(BufferKind.UNIFORM01, seed=31)
     for _ in range(40):
-        gibbs_sweep(lat, part, buf)
+        gibbs_sweep(lat, buf)
         expected = vector_sweep(expected, lat.b, lat.w, oracle_buf.take(lat.s.size))
         np.testing.assert_array_equal(lat.s, expected)
     assert lat.s.dtype == np.int8
@@ -209,59 +209,83 @@ def test_table_holds_nine_entries_per_distinct_bias(case):
         assert [t.size for t in part.table] == [18, 18]
 
 
-def test_sweep_rejects_a_partition_built_from_another_lattice():
-    lat, other = random_lattice(5, 6, seed=1), random_lattice(5, 6, seed=2)
-    part = color_lattice(lat)
-    before = other.s.copy()
-    with pytest.raises(ValueError, match="another lattice"):
-        gibbs_sweep(other, part, DeviateBuffer(BufferKind.UNIFORM01, seed=3))
-    np.testing.assert_array_equal(other.s, before)
-
-
-def test_sweep_rejects_a_coupling_changed_since_the_build():
+def test_lattice_fields_cannot_be_reassigned():
+    # the partition's table and packed biases are built once from b and w,
+    # so the lattice forbids replacing them, its spin grid or its partition
     lat = random_lattice(5, 6, seed=1)
-    part = color_lattice(lat)
-    lat.w = 0.3
-    with pytest.raises(ValueError, match="coupling changed"):
-        gibbs_sweep(lat, part, DeviateBuffer(BufferKind.UNIFORM01, seed=3))
+    for name, value in (("s", -lat.s), ("b", lat.b + 1.0), ("w", 0.3),
+                        ("partition", random_lattice(5, 6, seed=2).partition)):
+        with pytest.raises(AttributeError):
+            setattr(lat, name, value)
+    assert lat.w == 0.8 and lat.partition is color_lattice(lat)
 
 
-def test_lattice_owns_its_biases_and_the_partition_freezes_them():
+def test_a_lattice_is_freed_without_the_cycle_collector():
+    # the partition holds a view of the spin grid, not the lattice, so
+    # dropping the last reference frees a denoise's arrays at once
+    lat = random_lattice(6, 6)
+    ref = weakref.ref(lat)
+    gc.disable()
+    try:
+        del lat
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_lattice_owns_its_biases_and_freezes_them():
     # a bias edit after the build would leave the table's snapshot stale
     b = np.full((8, 8), 50.0)
     lat = IsingLattice(-np.ones((8, 8), dtype=np.int8), b, w=0.0)
     assert not np.shares_memory(lat.b, b)
-    part = color_lattice(lat)
     with pytest.raises(ValueError, match="read-only"):
         lat.b[:] = -50.0
-    buf = DeviateBuffer(BufferKind.UNIFORM01, seed=3)
-    gibbs_sweep(lat, part, buf)
+    gibbs_sweep(lat, DeviateBuffer(BufferKind.UNIFORM01, seed=3))
     assert (lat.s == 1).all()
-    lat.b = np.full((8, 8), -50.0)
-    with pytest.raises(ValueError, match="biases replaced"):
-        gibbs_sweep(lat, part, buf)
+
+
+def test_spins_edited_in_place_are_swept_after_pack_from():
+    lat = random_lattice(5, 6, seed=1)
+    start = -lat.s
+    lat.s[:] = start
+    lat.partition.pack_from()
+    gibbs_sweep(lat, DeviateBuffer(BufferKind.UNIFORM01, seed=3))
+    u = DeviateBuffer(BufferKind.UNIFORM01, seed=3).take(lat.s.size)
+    np.testing.assert_array_equal(lat.s, vector_sweep(start, lat.b, lat.w, u))
+
+
+def test_a_lattice_from_a_transposed_grid_sweeps_its_own_spins():
+    # a Fortran-ordered grid must not leave the sweep writing into a copy
+    src = random_lattice(7, 5, seed=6)
+    lat = IsingLattice(src.s.T, src.b.T, src.w)
+    before = lat.s.copy()
+    gibbs_sweep(lat, DeviateBuffer(BufferKind.UNIFORM01, seed=7))
+    u = DeviateBuffer(BufferKind.UNIFORM01, seed=7).take(lat.s.size)
+    np.testing.assert_array_equal(lat.s, vector_sweep(before, lat.b, lat.w, u))
+    assert (lat.s != before).any()
+    part = lat.partition
+    for c in (0, 1):
+        np.testing.assert_array_equal(lat.s.ravel()[part.colors[c]], part.packed_s[c])
 
 
 def test_sweep_determinism():
     results = []
     for _ in range(2):
         lat = random_lattice(6, 6, seed=8)
-        part = color_lattice(lat)
         buf = DeviateBuffer(BufferKind.UNIFORM01, seed=21)
         for _ in range(25):
-            gibbs_sweep(lat, part, buf)
+            gibbs_sweep(lat, buf)
         results.append(lat.s.copy())
     np.testing.assert_array_equal(results[0], results[1])
 
 
 def test_free_spins_are_fair_coins():
     lat = IsingLattice(np.ones((16, 16), dtype=np.int8), np.zeros((16, 16)), 0.0)
-    part = color_lattice(lat)
     buf = DeviateBuffer(BufferKind.UNIFORM01, seed=30)
     total = 0.0
     sweeps = 100_000
     for _ in range(sweeps):
-        gibbs_sweep(lat, part, buf)
+        gibbs_sweep(lat, buf)
         total += float(lat.s.sum())
     assert abs(total / (sweeps * lat.s.size)) < 0.01
 
@@ -270,12 +294,11 @@ def _tv_against_enumeration(h, w, coupling, sweeps, seed):
     gen = np.random.default_rng(seed)
     b = gen.uniform(-0.5, 0.5, size=(h, w))
     lat = IsingLattice(gen.choice([-1, 1], size=(h, w)).astype(np.int8), b, coupling)
-    part = color_lattice(lat)
     buf = DeviateBuffer(BufferKind.UNIFORM01, seed=seed + 1)
     weights = (1 << np.arange(h * w)).astype(np.int64)
     counts = np.zeros(1 << (h * w), dtype=np.int64)
     for _ in range(sweeps):
-        gibbs_sweep(lat, part, buf)
+        gibbs_sweep(lat, buf)
         code = int(((lat.s.ravel() > 0) * weights).sum())
         counts[code] += 1
     joint = enumerate_boltzmann(b, coupling)
@@ -314,6 +337,18 @@ def test_denoise_reduces_error_on_two_region_image():
     assert len(trace) == 30
     # flip rate settles well below a quarter of the nodes per sweep
     assert max(trace[10:]) < 0.25
+
+
+def test_denoise_ignores_the_memory_order_of_its_input():
+    noisy = flip_noise(synthetic_binary_image(64, 48), 0.1, seed=3)
+    kw = dict(w=1.0, bias_scale=2.0, sweeps=12, burnin=4, seed=4)
+    expected = denoise(noisy, **kw)
+    assert (expected != noisy).any()
+    out = denoise(np.asfortranarray(noisy), **kw)
+    assert out.dtype == expected.dtype
+    np.testing.assert_array_equal(out, expected)
+    np.testing.assert_array_equal(denoise(noisy.T, **kw),
+                                  denoise(np.ascontiguousarray(noisy.T), **kw))
 
 
 def test_denoise_all_ones_easy_instance():

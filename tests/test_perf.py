@@ -162,3 +162,7 @@ def test_parse_grid_config_rejects_unknown_keys(tmp_path):
 def test_region_overhead_probe():
     t = region_overhead_probe(4, reps=50)
     assert t >= 0.0 and np.isfinite(t)
+    with pytest.raises(ValueError, match="workers=0"):
+        region_overhead_probe(0)
+    with pytest.raises(ValueError, match="reps=0"):
+        region_overhead_probe(1, reps=0)

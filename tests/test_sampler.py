@@ -380,6 +380,7 @@ def test_chain_posterior_recovery_moderate():
 def test_config_validation():
     for bad in (dict(n_iter=0, n_burnin=0), dict(n_iter=5, n_burnin=5),
                 dict(n_iter=5, n_burnin=0, slice_width=0.0),
+                dict(n_iter=5, n_burnin=0, slice_width=np.inf),
                 dict(n_iter=5, n_burnin=0, slice_max_steps=0)):
         with pytest.raises(ValueError):
             ChainConfig(**bad)
