@@ -1,8 +1,10 @@
 """Roofline bounds and the benchmark grid runner.
 
-Hardware parameters induce two CPR floors: compute (peak flops) and memory
-(DRAM bandwidth).  The grid runner times kernel cells against them and
-writes the standard CSV with roofline sidecar lines.
+The paper's reference machine induces two CPR floors: compute (peak flops)
+and memory (DRAM bandwidth).  The grid runner times kernel cells, counts
+their cycles at the reference clock, checks them against the compute floor
+and writes the standard CSV with roofline sidecar lines.  Only plf_chunked
+runs the chunk count; the other strategies run one cell each.
 """
 
 from parmcmc import GridConfig, Strategy, run_grid
@@ -20,7 +22,7 @@ cfg = GridConfig(n_rows=[10_000, 100_000], n_cols=[10, 50],
                  strategies=[Strategy.SOM, Strategy.PLF, Strategy.PLF_CHUNKED],
                  workers=[1, 4], chunks=[8], evals=4, reps=3)
 records, failures = run_grid(cfg)
-write_bench_csv(records, "bench_grid.csv", hw=cfg.hw, failures=failures)
+write_bench_csv(records, "bench_grid.csv", failures=failures)
 print(f"{'cell':<22}{'N':>8}{'K':>5}{'workers':>8}{'CPR':>9}")
 for r in records:
     print(f"{r.label:<22}{r.n_rows:>8}{r.n_cols:>5}{r.workers:>8}{r.cpr:>9.1f}")

@@ -24,8 +24,19 @@ _DESC = {
 }
 
 
+def _flag_type(parse):
+    """`parse` as an argparse type whose usage error gives the parser's reason."""
+    def parse_flag(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse_flag
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="parmcmc")
+    ints, words = _flag_type(perf._ints), _flag_type(perf._words)
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bench", help=_DESC["bench"])
@@ -35,8 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--K", dest="n_cols", help="column counts, comma separated")
     b.add_argument("--strategies", help="som,plf,plf_chunked,sharded")
     b.add_argument("--workers")
-    b.add_argument("--chunks", help="chunk counts, comma separated; only plf_chunked reads "
-                                    "them, and the CSV's n_chunks is the count requested")
+    b.add_argument("--chunks", help="plf_chunked's chunk counts, comma separated")
     b.add_argument("--op", help="loglike or grad")
     b.add_argument("--evals")
     b.add_argument("--reps")
@@ -47,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("glm-sample", help=_DESC["glm-sample"])
     src = g.add_mutually_exclusive_group(required=True)
     src.add_argument("--data", help="CSV: K covariate columns + 0/1 response column")
-    src.add_argument("--synthetic", type=perf._ints, metavar="N,K",
+    src.add_argument("--synthetic", type=ints, metavar="N,K",
                      help="generate a seeded synthetic instance")
     g.add_argument("--iters", type=int, default=2000)
     g.add_argument("--burnin", type=int, default=500)
@@ -62,10 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
     h = sub.add_parser("hb-bench", help=_DESC["hb-bench"])
     h.add_argument("--groups", type=int, default=20, help="number of regression groups")
     h.add_argument("--K", type=int, default=10)
-    h.add_argument("--navg", type=perf._ints, default=[1000], help="rows per group, grid axis")
-    h.add_argument("--neval", type=perf._ints, default=[1, 10])
-    h.add_argument("--modes", type=perf._words, default=["coarse", "fine"])
-    h.add_argument("--workers", type=perf._ints, default=[1])
+    h.add_argument("--navg", type=ints, default=[1000], help="rows per group, grid axis")
+    h.add_argument("--neval", type=ints, default=[1, 10])
+    h.add_argument("--modes", type=words, default=["coarse", "fine"])
+    h.add_argument("--workers", type=ints, default=[1])
     h.add_argument("--sweeps", type=int, default=3)
     h.add_argument("--reps", type=int, default=3)
     h.add_argument("--seed", type=int, default=0)
@@ -85,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     i.set_defaults(func=cmd_ising_denoise)
 
     r = sub.add_parser("rng-bench", help=_DESC["rng-bench"])
-    r.add_argument("--dists", type=perf._words, default=["uniform", "normal", "gamma"])
-    r.add_argument("--modes", type=perf._words, default=["oaat", "batch"])
+    r.add_argument("--dists", type=words, default=["uniform", "normal", "gamma"])
+    r.add_argument("--modes", type=words, default=["oaat", "batch"])
     r.add_argument("--n", type=int, default=1_000_000)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--out", default="rng_bench.csv")
@@ -102,7 +112,7 @@ def cmd_bench(args) -> int:
         raise ValueError("need --N and --K (or --config)")
     cfg = perf._grid_config(settings)
     records, failures = perf.run_grid(cfg)
-    perf.write_bench_csv(records, args.out, hw=cfg.hw, failures=failures)
+    perf.write_bench_csv(records, args.out, failures=failures)
     for cell, msg in failures:
         print(f"warning: cell failed: {cell}: {msg}", file=sys.stderr)
     print(f"wrote {len(records)} records ({len(failures)} failed cells) to {args.out}")

@@ -44,7 +44,7 @@ import numpy as np
 from . import parallel
 from .glm import (DesignMatrix, ExecPlan, GlmWorkspace, _coord_slope, _shifted_loglike,
                   commit_update, loglike, synthetic_logistic)
-from .perf import REFERENCE_MACHINE, BenchRecord
+from .perf import BenchRecord
 from .rng import BufferKind, DeviateBuffer
 from .sampler import ChainConfig, GaussianPrior, SliceStats, slice_moves, slice_sample_coord
 
@@ -294,6 +294,5 @@ def hb_benchmark(ds: HbDataset, prior: GaussianPrior, policies: list[MappingPoli
         records.append(BenchRecord.from_wall(
             label=label, n_rows=ds.n_rows_total, n_cols=ds.n_cols,
             workers=policy.workers, n_chunks=1,
-            wall_seconds=statistics.median(walls),
-            evals=n_sweeps * policy.neval, clock_ghz=REFERENCE_MACHINE.cpu_clock_ghz))
+            wall_seconds=statistics.median(walls), evals=n_sweeps * policy.neval))
     return records

@@ -17,6 +17,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
+__all__ = ["KernelCounters", "counters"]
+
 
 @dataclass
 class KernelCounters:
@@ -32,9 +34,9 @@ class KernelCounters:
             self.merge_events = 0
             self.flops = 0
 
-    def add_region(self, n: int = 1) -> None:
+    def add_region(self) -> None:
         with _LOCK:
-            self.parallel_regions += n
+            self.parallel_regions += 1
 
     def add_merges(self, n: int) -> None:
         with _LOCK:

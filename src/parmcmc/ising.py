@@ -210,17 +210,20 @@ def denoise(noisy_image, w: float = 1.0, bias_scale: float = 2.0, sweeps: int = 
 
     The bias field anchors each pixel to its observed value while the
     coupling rewards agreement between neighbors.  Restored pixel = sign of
-    the post-burn-in mean spin (ties go to +1).  With no post-burn-in
-    sweeps the input is returned unchanged.  `trace_out`, if given,
-    receives the per-sweep flip fraction.
+    the post-burn-in mean spin (ties go to +1).  With sweeps=0 the input
+    is returned unchanged; otherwise burnin must leave at least one sweep.
+    `trace_out`, if given, receives the per-sweep flip fraction.
     """
     noisy_image = np.asarray(noisy_image)
     lat = IsingLattice.from_image(noisy_image, w=w, bias_scale=bias_scale)
     if sweeps < 0 or burnin < 0:
         raise ValueError("sweeps and burnin must be >= 0")
+    if sweeps == 0:
+        return noisy_image.astype(np.uint8).copy()
+    if burnin >= sweeps:
+        raise ValueError(f"burnin must be < sweeps, got burnin={burnin}, sweeps={sweeps}")
     buf = DeviateBuffer(BufferKind.UNIFORM01, seed=seed)
     acc = np.zeros(lat.s.shape, dtype=np.int32)  # exact spin sums
-    kept = 0
     for t in range(sweeps):
         before = lat.s.copy() if trace_out is not None else None
         gibbs_sweep(lat, buf)
@@ -228,9 +231,6 @@ def denoise(noisy_image, w: float = 1.0, bias_scale: float = 2.0, sweeps: int = 
             trace_out.append(float(np.count_nonzero(lat.s != before)) / lat.s.size)
         if t >= burnin:
             acc += lat.s
-            kept += 1
-    if kept == 0:
-        return noisy_image.astype(np.uint8).copy()
     return (acc >= 0).astype(np.uint8)
 
 
@@ -314,25 +314,15 @@ def write_pbm(path, image01, fmt: str = "P4") -> None:
         raise ValueError(f"fmt must be 'P1' or 'P4', got {fmt!r}")
 
 
-def synthetic_binary_image(height: int, width: int, kind: str = "two_region") -> np.ndarray:
-    """Deterministic {0,1} test images.
-
-    kinds: "two_region" (vertical half split plus an offset rectangle of
-    the opposite value), "all_ones", "all_zeros".
-    """
+def synthetic_binary_image(height: int, width: int) -> np.ndarray:
+    """Deterministic {0,1} test image: a half split, an opposite rectangle in each half."""
     if height < 1 or width < 1:
         raise ValueError("image dimensions must be >= 1")
-    if kind == "all_ones":
-        return np.ones((height, width), dtype=np.uint8)
-    if kind == "all_zeros":
-        return np.zeros((height, width), dtype=np.uint8)
-    if kind == "two_region":
-        img = np.zeros((height, width), dtype=np.uint8)
-        img[:, width // 2:] = 1
-        img[height // 4: height // 2, width // 8: width // 3] = 1
-        img[height // 2: 3 * height // 4, 2 * width // 3: 7 * width // 8] = 0
-        return img
-    raise ValueError(f"unknown image kind {kind!r}")
+    img = np.zeros((height, width), dtype=np.uint8)
+    img[:, width // 2:] = 1
+    img[height // 4: height // 2, width // 8: width // 3] = 1
+    img[height // 2: 3 * height // 4, 2 * width // 3: 7 * width // 8] = 0
+    return img
 
 
 def flip_noise(image01, rate: float, seed: int = 0) -> np.ndarray:

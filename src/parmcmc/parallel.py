@@ -30,6 +30,8 @@ from typing import Callable, Sequence, TypeVar
 
 from .instrumentation import counters
 
+__all__ = ["partition", "run_region"]
+
 T = TypeVar("T")
 
 _pool: ThreadPoolExecutor | None = None

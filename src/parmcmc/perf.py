@@ -2,8 +2,8 @@
 
 CPR (clock cycles per row) is wall time per evaluation expressed in
 nominal CPU cycles and divided by the row count: the workload-native
-throughput metric all benchmarks here share.  Bounds come from a
-HardwareDescriptor:
+throughput metric all benchmarks here share.  Bounds come from the
+paper's reference machine, `REFERENCE_MACHINE`:
 
 * compute bound  2K flops per row against peak FMA throughput,
 * memory bound   8(K+1) bytes per row against peak DRAM bandwidth.
@@ -12,9 +12,9 @@ Measured CPR can never beat the compute bound (the grid runner enforces
 this); the memory bound is reported for context only, since cache-resident
 working sets legitimately beat DRAM bandwidth.
 
-Timing uses the monotonic wall clock converted with the descriptor's
-nominal frequency.  Hardware event counters are deliberately out of
-scope; structural facts (regions, merges, flops) come from
+Timing uses the monotonic wall clock converted with the reference
+machine's nominal frequency.  Hardware event counters are deliberately
+out of scope; structural facts (regions, merges, flops) come from
 `instrumentation` instead.
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from itertools import product
 
 import numpy as np
@@ -64,6 +64,8 @@ class HardwareDescriptor:
 
 REFERENCE_MACHINE = HardwareDescriptor()
 
+_WARMUP = 3  # untimed evaluations per grid cell, to reach a steady cache state
+
 
 def compute_min_cpr(hw: HardwareDescriptor, n_cols: int) -> float:
     """Lower CPR bound from peak flop rate: 2K flops/row over machine flops/cycle."""
@@ -85,7 +87,7 @@ def memory_min_cpr(hw: HardwareDescriptor, n_cols: int) -> float:
 
 @dataclass
 class BenchRecord:
-    """One timed measurement; cpr is derived from wall time by construction."""
+    """One timed measurement; cpr is wall time in reference-machine cycles per row."""
 
     label: str
     n_rows: int
@@ -98,9 +100,8 @@ class BenchRecord:
 
     @classmethod
     def from_wall(cls, label: str, n_rows: int, n_cols: int, workers: int,
-                  n_chunks: int, wall_seconds: float, evals: int,
-                  clock_ghz: float) -> "BenchRecord":
-        cpr = clock_ghz * 1e9 * wall_seconds / (evals * n_rows)
+                  n_chunks: int, wall_seconds: float, evals: int) -> "BenchRecord":
+        cpr = REFERENCE_MACHINE.cpu_clock_ghz * 1e9 * wall_seconds / (evals * n_rows)
         return cls(label, n_rows, n_cols, workers, n_chunks, cpr, wall_seconds, evals)
 
 
@@ -110,25 +111,23 @@ class RooflineViolation(AssertionError):
 
 @dataclass
 class GridConfig:
-    """Axes and protocol for the benchmark grid."""
+    """Axes and protocol for the benchmark grid, timed against the reference machine."""
 
     n_rows: list[int] = field(default_factory=lambda: [10_000])
     n_cols: list[int] = field(default_factory=lambda: [10])
     strategies: list[Strategy] = field(default_factory=lambda: [Strategy.PLF])
     workers: list[int] = field(default_factory=lambda: [1])
-    chunks: list[int] = field(default_factory=lambda: [1])
+    chunks: list[int] = field(default_factory=lambda: [1])  # plf_chunked's chunk counts
     op: str = "loglike"          # or "grad"
     evals: int = 5               # evaluations per repetition; beta refreshed each
     reps: int = 5                # repetitions; the median is reported
-    warmup: int = 3              # untimed evaluations to reach steady cache state
     seed: int = 0
-    hw: HardwareDescriptor = REFERENCE_MACHINE
 
     def __post_init__(self):
         if self.op not in ("loglike", "grad"):
             raise ValueError(f"op must be 'loglike' or 'grad', got {self.op!r}")
-        if min(self.evals, self.reps) < 1 or self.warmup < 0:
-            raise ValueError("evals, reps must be >= 1 and warmup >= 0")
+        if min(self.evals, self.reps) < 1:
+            raise ValueError("evals, reps must be >= 1")
 
 
 def _cell_seed(seed: int, *parts: int) -> int:
@@ -136,11 +135,12 @@ def _cell_seed(seed: int, *parts: int) -> int:
 
 
 def run_grid(cfg: GridConfig) -> tuple[list[BenchRecord], list[tuple[str, str]]]:
-    """Run every (strategy, workers, N, K, chunks) cell; continue past failures.
+    """Run every (strategy, workers, N, K) cell; continue past failures.
 
-    Returns (records, failures); a failure is (cell label, error message).
-    The same (N, K) cell data and beta refresh sequence are shared across
-    strategy and worker axes so CPRs are directly comparable.
+    plf_chunked runs one cell per chunk count, the other strategies one at
+    n_chunks=1.  Returns (records, failures); a failure is (cell label,
+    error message).  The same (N, K) cell data and beta refresh sequence
+    are shared across strategy and worker axes so CPRs are comparable.
     """
     records: list[BenchRecord] = []
     failures: list[tuple[str, str]] = []
@@ -148,21 +148,22 @@ def run_grid(cfg: GridConfig) -> tuple[list[BenchRecord], list[tuple[str, str]]]
         data, _ = synthetic_logistic(n, k, seed=_cell_seed(cfg.seed, n, k))
         betas = np.random.default_rng(_cell_seed(cfg.seed, n, k, 1)).normal(
             0.0, 0.5, (cfg.evals, k))
-        for strategy, workers, chunks in product(cfg.strategies, cfg.workers, cfg.chunks):
+        for strategy, workers in product(cfg.strategies, cfg.workers):
             label = f"{cfg.op}/{strategy.value}"
-            try:
-                records.append(_run_cell(cfg, data, betas, label, strategy,
-                                         workers, chunks, n, k))
-            except Exception as exc:  # record and continue with the grid
-                failures.append((f"{label} N={n} K={k} workers={workers} chunks={chunks}",
-                                 str(exc)))
+            for chunks in cfg.chunks if strategy is Strategy.PLF_CHUNKED else [1]:
+                try:
+                    records.append(_run_cell(cfg, data, betas, label, strategy,
+                                             workers, chunks, n, k))
+                except Exception as exc:  # record and continue with the grid
+                    failures.append((f"{label} N={n} K={k} workers={workers} chunks={chunks}",
+                                     str(exc)))
     return records, failures
 
 
 def _run_cell(cfg, data, betas, label, strategy, workers, chunks, n, k) -> BenchRecord:
     plan = ExecPlan(strategy, workers=workers, n_chunks=chunks)
     fn = loglike if cfg.op == "loglike" else loglike_grad
-    for i in range(cfg.warmup):
+    for i in range(_WARMUP):
         fn(data, betas[i % cfg.evals], plan)
     walls = []
     for _ in range(cfg.reps):
@@ -171,9 +172,8 @@ def _run_cell(cfg, data, betas, label, strategy, workers, chunks, n, k) -> Bench
             fn(data, betas[e], plan)
         walls.append(time.perf_counter() - t0)
     rec = BenchRecord.from_wall(label, n, k, workers, chunks,
-                                statistics.median(walls), cfg.evals,
-                                cfg.hw.cpu_clock_ghz)
-    bound = compute_min_cpr(cfg.hw, k)
+                                statistics.median(walls), cfg.evals)
+    bound = compute_min_cpr(REFERENCE_MACHINE, k)
     if rec.cpr < bound:
         raise RooflineViolation(
             f"measured cpr {rec.cpr:.4g} beats the compute bound {bound:.4g}")
@@ -181,9 +181,8 @@ def _run_cell(cfg, data, betas, label, strategy, workers, chunks, n, k) -> Bench
 
 
 def write_bench_csv(records: list[BenchRecord], path,
-                    hw: HardwareDescriptor = REFERENCE_MACHINE,
                     failures: list[tuple[str, str]] | None = None) -> None:
-    """CSV rows plus one roofline sidecar comment per distinct K.
+    """CSV rows plus one reference-machine roofline sidecar comment per distinct K.
 
     Failed cells become rows with empty metric fields and a `[failed: ...]`
     marker appended to the label, which csv.writer quotes where needed.
@@ -191,8 +190,9 @@ def write_bench_csv(records: list[BenchRecord], path,
     with open(path, "w", newline="") as fh:
         fh.write("label,n_rows,n_cols,workers,n_chunks,cpr,wall_seconds,evals\n")
         for k in sorted({r.n_cols for r in records}):
-            fh.write(f"# roofline n_cols={k} compute_min_cpr={compute_min_cpr(hw, k):.6g} "
-                     f"memory_min_cpr={memory_min_cpr(hw, k):.6g}\n")
+            fh.write(f"# roofline n_cols={k} "
+                     f"compute_min_cpr={compute_min_cpr(REFERENCE_MACHINE, k):.6g} "
+                     f"memory_min_cpr={memory_min_cpr(REFERENCE_MACHINE, k):.6g}\n")
         for r in records:
             fh.write(f"{r.label},{r.n_rows},{r.n_cols},{r.workers},{r.n_chunks},"
                      f"{r.cpr:.6g},{r.wall_seconds:.6g},{r.evals}\n")
@@ -217,20 +217,14 @@ def _words(text: str) -> list[str]:
     return [v.lower() for v in _items(text)]
 
 
-def _hw_number(text: str) -> int | float:
-    return float(text) if "." in text else int(text)
-
-
 #: each grid key's one text parser, shared by grid files and `parmcmc bench` flags;
 #: `_ints` and `_words` also parse the other commands' list flags
 _PARSERS = {
     "n_rows": _ints, "n_cols": _ints, "workers": _ints, "chunks": _ints,
     "strategies": lambda text: [Strategy(v) for v in _words(text)],
-    "op": str.lower, "evals": int, "reps": int, "warmup": int, "seed": int,
-    **{f.name: float if f.name.endswith("_ghz") else _hw_number
-       for f in fields(HardwareDescriptor)},
+    "op": str.lower, "evals": int, "reps": int, "seed": int,
 }
-_KEY_ALIASES = {"n": "n_rows", "k": "n_cols", "strategy": "strategies", "nchunks": "chunks"}
+_KEY_ALIASES = {"n": "n_rows", "k": "n_cols"}
 
 
 def _read_grid_file(path) -> dict[str, str]:
@@ -259,8 +253,7 @@ def _grid_config(settings: dict[str, str]) -> GridConfig:
             kwargs[key] = _PARSERS[key](text)
         except ValueError as exc:
             raise ValueError(f"{key} = {text!r}: {exc}") from None
-    hw = {f.name: kwargs.pop(f.name) for f in fields(HardwareDescriptor) if f.name in kwargs}
-    return GridConfig(hw=replace(REFERENCE_MACHINE, **hw), **kwargs)
+    return GridConfig(**kwargs)
 
 
 def parse_grid_config(path) -> GridConfig:
@@ -274,7 +267,6 @@ def parse_grid_config(path) -> GridConfig:
         workers = 1, 2, 4
         chunks = 8
         evals = 5
-        cpu_clock_ghz = 2.6
     """
     return _grid_config(_read_grid_file(path))
 

@@ -64,8 +64,9 @@ class GaussianPrior:
             raise ValueError("all prior sigmas must be > 0")
 
     @classmethod
-    def isotropic(cls, n_cols: int, mu: float = 0.0, sigma: float = 1.0) -> "GaussianPrior":
-        return cls(np.full(n_cols, mu), np.full(n_cols, sigma))
+    def isotropic(cls, n_cols: int, sigma: float = 1.0) -> "GaussianPrior":
+        """Zero-mean prior with the same sigma on every coordinate."""
+        return cls(np.zeros(n_cols), np.full(n_cols, sigma))
 
     def logpdf_coord(self, k: int, value: float) -> float:
         """Log density at one coordinate, dropping beta_k-independent constants."""

@@ -78,10 +78,12 @@ def test_bench_seed_flag_fills_a_config_file_without_seed(tmp_path, monkeypatch)
     assert seen[0].seed == 5 and seen[0].evals == 2  # the file's evals win
 
 
-def test_bench_bad_config_is_input_error(tmp_path):
+def test_bench_bad_config_is_input_error(tmp_path, capsys):
     cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text("nonsense = 1\n")
-    assert cli.main(["bench", "--config", str(cfgfile)]) == 2
+    for key in ("nonsense", "cpu_clock_ghz", "warmup"):
+        cfgfile.write_text(f"{key} = 1\n")
+        assert cli.main(["bench", "--config", str(cfgfile)]) == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_bench_removed_strategy_names_its_key(tmp_path, capsys):
@@ -112,12 +114,13 @@ def test_bench_internal_error_returns_one(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "x.csv")]) == 1
 
 
-def test_bench_cell_failures_still_exit_zero(tmp_path):
-    # a config whose fantasy clock makes the roofline check reject every
-    # cell: rows are flagged in the CSV but the command succeeds
+def test_bench_cell_failures_still_exit_zero(tmp_path, monkeypatch):
+    # a fantasy clock makes the roofline check reject every cell: rows are
+    # flagged in the CSV but the command succeeds
+    monkeypatch.setattr(perf, "REFERENCE_MACHINE", perf.HardwareDescriptor(cpu_clock_ghz=1e-9))
     cfgfile = tmp_path / "absurd.cfg"
     cfgfile.write_text("N = 200\nK = 4\nstrategies = plf\nworkers = 1\n"
-                       "evals = 2\nreps = 2\nwarmup = 0\ncpu_clock_ghz = 1e-9\n")
+                       "evals = 2\nreps = 2\n")
     out = tmp_path / "f.csv"
     assert cli.main(["bench", "--config", str(cfgfile), "--out", str(out)]) == 0
     assert "[failed:" in out.read_text()
@@ -234,6 +237,15 @@ def test_ising_denoise_zero_sweeps_is_identity(tmp_path):
     np.testing.assert_array_equal(read_pbm(out), noisy)
 
 
+def test_ising_denoise_burnin_covering_every_sweep_is_input_error(tmp_path, capsys):
+    _, _, path = _noisy_pbm(tmp_path)
+    out = tmp_path / "o.pbm"
+    assert cli.main(["ising-denoise", "--in", str(path), "--out", str(out),
+                     "--sweeps", "10", "--burnin", "10"]) == 2
+    assert "burnin must be < sweeps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ising_denoise_deterministic(tmp_path):
     _, _, path = _noisy_pbm(tmp_path)
     outs = []
@@ -299,7 +311,9 @@ def test_an_empty_list_or_item_is_a_usage_error_naming_its_flag(tmp_path, capsys
     out = tmp_path / "o.csv"
     assert cli.main(argv + ["--out", str(out)]) == 2
     flag = argv[1].split("=")[0]
-    assert f"argument {flag}:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and "empty item in" in err
+    assert "_ints" not in err and "_words" not in err
     assert not out.exists()
 
 

@@ -352,7 +352,7 @@ def test_denoise_ignores_the_memory_order_of_its_input():
 
 
 def test_denoise_all_ones_easy_instance():
-    img = synthetic_binary_image(48, 48, kind="all_ones")
+    img = np.ones((48, 48), dtype=np.uint8)
     noisy = flip_noise(img, 0.1, seed=7)
     out = denoise(noisy, w=1.0, bias_scale=2.0, sweeps=25, burnin=8, seed=8)
     assert float((out != img).mean()) < 0.01
@@ -369,6 +369,9 @@ def test_denoise_rejects_bad_input():
         denoise(np.empty((0, 0)))
     with pytest.raises(ValueError):
         denoise(np.array([[0, 2]]))
+    for sweeps, burnin in ((20, 20), (5, 30)):
+        with pytest.raises(ValueError, match="burnin"):
+            denoise(np.array([[0, 1]]), sweeps=sweeps, burnin=burnin)
 
 
 # ---------------------------------------------------------------------------

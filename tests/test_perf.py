@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from parmcmc import perf
 from parmcmc.glm import Strategy
 from parmcmc.perf import (BenchRecord, GridConfig, HardwareDescriptor, REFERENCE_MACHINE,
                           compute_min_cpr, memory_min_cpr, parse_grid_config,
@@ -53,7 +54,7 @@ def test_bound_input_validation():
 
 def test_record_arithmetic_invariant():
     rec = BenchRecord.from_wall("x", n_rows=1000, n_cols=10, workers=2, n_chunks=1,
-                                wall_seconds=0.004, evals=8, clock_ghz=2.6)
+                                wall_seconds=0.004, evals=8)
     assert rec.cpr == 2.6e9 * 0.004 / (8 * 1000)
     assert rec.cpr > 0
 
@@ -64,7 +65,7 @@ def test_record_arithmetic_invariant():
 
 def test_single_cell_grid():
     cfg = GridConfig(n_rows=[2000], n_cols=[8], strategies=[Strategy.PLF],
-                     workers=[1], evals=3, reps=3, warmup=1)
+                     workers=[1], evals=3, reps=3)
     records, failures = run_grid(cfg)
     assert len(records) == 1 and not failures
     rec = records[0]
@@ -73,16 +74,16 @@ def test_single_cell_grid():
 
 def test_grid_covers_axes_and_respects_roofline():
     cfg = GridConfig(n_rows=[1000, 4000], n_cols=[6], workers=[1, 2],
-                     strategies=[Strategy.SOM, Strategy.PLF], evals=3, reps=2, warmup=1)
+                     strategies=[Strategy.SOM, Strategy.PLF], evals=3, reps=2)
     records, failures = run_grid(cfg)
     assert len(records) == 8 and not failures
     for rec in records:
-        assert rec.cpr >= compute_min_cpr(cfg.hw, rec.n_cols)
+        assert rec.cpr >= compute_min_cpr(REFERENCE_MACHINE, rec.n_cols)
 
 
 def test_grid_timing_stability_single_worker():
     cfg = GridConfig(n_rows=[100_000], n_cols=[12], strategies=[Strategy.PLF],
-                     workers=[1], evals=6, reps=7, warmup=2)
+                     workers=[1], evals=6, reps=7)
     # medians of repeated cells agree within 20%; retry shields against
     # transient machine load, not against a real instability
     for attempt in range(3):
@@ -92,12 +93,12 @@ def test_grid_timing_stability_single_worker():
     raise AssertionError(f"cell medians unstable across retries: {medians}")
 
 
-def test_grid_records_failures_and_continues():
+def test_grid_records_failures_and_continues(monkeypatch):
     # a fantasy machine whose compute bound exceeds any real measurement:
     # the roofline sanity check must flag the cell, not crash the grid
-    absurd = HardwareDescriptor(cpu_clock_ghz=1e-9)
+    monkeypatch.setattr(perf, "REFERENCE_MACHINE", HardwareDescriptor(cpu_clock_ghz=1e-9))
     cfg = GridConfig(n_rows=[500], n_cols=[4], strategies=[Strategy.PLF, Strategy.SOM],
-                     workers=[1], evals=2, reps=2, warmup=0, hw=absurd)
+                     workers=[1], evals=2, reps=2)
     records, failures = run_grid(cfg)
     assert len(records) == 0 and len(failures) == 2
     assert "compute bound" in failures[0][1]
@@ -105,10 +106,20 @@ def test_grid_records_failures_and_continues():
 
 def test_grad_op_grid():
     cfg = GridConfig(n_rows=[1500], n_cols=[5], strategies=[Strategy.PLF_CHUNKED],
-                     workers=[2], chunks=[4], op="grad", evals=3, reps=2, warmup=1)
+                     workers=[2], chunks=[4], op="grad", evals=3, reps=2)
     records, failures = run_grid(cfg)
     assert not failures and records[0].label == "grad/plf_chunked"
     assert records[0].n_chunks == 4
+
+
+def test_grid_crosses_chunks_only_with_plf_chunked():
+    cfg = GridConfig(n_rows=[2000], n_cols=[4],
+                     strategies=[Strategy.SOM, Strategy.PLF, Strategy.PLF_CHUNKED],
+                     chunks=[1, 8], evals=2, reps=2)
+    records, failures = run_grid(cfg)
+    assert len(records) == 4 and not failures
+    assert all(r.n_chunks == 1 for r in records if r.label in ("loglike/som", "loglike/plf"))
+    assert sorted(r.n_chunks for r in records if r.label == "loglike/plf_chunked") == [1, 8]
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +127,7 @@ def test_grad_op_grid():
 # ---------------------------------------------------------------------------
 
 def test_write_csv_with_sidecar_and_failures(tmp_path):
-    recs = [BenchRecord.from_wall("loglike/plf", 100, 7, 1, 1, 0.001, 2, 2.6)]
+    recs = [BenchRecord.from_wall("loglike/plf", 100, 7, 1, 1, 0.001, 2)]
     path = tmp_path / "bench.csv"
     write_bench_csv(recs, path, failures=[("loglike/som N=1 K=1 workers=1 chunks=1", "boom")])
     lines = path.read_text().splitlines()
@@ -139,21 +150,20 @@ def test_parse_grid_config(tmp_path):
         "evals = 4\n"
         "reps = 2\n"
         "seed = 7\n"
-        "op = grad\n"
-        "cpu_clock_ghz = 3.1\n")
+        "op = grad\n")
     cfg = parse_grid_config(path)
     assert cfg.n_rows == [100, 200] and cfg.n_cols == [5]
     assert cfg.strategies == [Strategy.SOM, Strategy.PLF_CHUNKED]
     assert cfg.workers == [1, 2] and cfg.chunks == [8]
     assert cfg.evals == 4 and cfg.reps == 2 and cfg.seed == 7 and cfg.op == "grad"
-    assert cfg.hw.cpu_clock_ghz == 3.1 and cfg.hw.sockets == REFERENCE_MACHINE.sockets
 
 
 def test_parse_grid_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("bogus = 1\n")
-    with pytest.raises(ValueError, match="unknown key"):
-        parse_grid_config(path)
+    for key, value in (("bogus", "1"), ("cpu_clock_ghz", "3.1"), ("warmup", "0")):
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            parse_grid_config(path)
     path.write_text("just a line\n")
     with pytest.raises(ValueError, match="key = value"):
         parse_grid_config(path)

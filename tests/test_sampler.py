@@ -68,7 +68,7 @@ def _unit_gaussian_target():
     # one row with x = 0 makes the likelihood constant; the N(0,1) prior is
     # then the exact conditional target of the single coordinate
     data = DesignMatrix([[0.0]], [1.0])
-    prior = GaussianPrior.isotropic(1, mu=0.0, sigma=1.0)
+    prior = GaussianPrior.isotropic(1, sigma=1.0)
     return data, prior
 
 
