@@ -9,31 +9,33 @@ import time
 
 import numpy as np
 
-from parmcmc import ExecPlan, Strategy, loglike, loglike_grad, synthetic_logistic
-from parmcmc.perf import REFERENCE_MACHINE, compute_min_cpr, memory_min_cpr
+from parmcmc import ExecPlan, Strategy, loglike, loglike_grad, perf, synthetic_logistic
+from parmcmc.perf import compute_min_cpr, memory_min_cpr
 
 N, K = 200_000, 50
 data, beta = synthetic_logistic(N, K, seed=0)
 
 print(f"logistic log-likelihood, N={N}, K={K}")
-print(f"roofline context: compute bound {compute_min_cpr(REFERENCE_MACHINE, K):.2f} CPR, "
-      f"memory bound {memory_min_cpr(REFERENCE_MACHINE, K):.2f} CPR\n")
+print(f"roofline context: compute bound {compute_min_cpr(K):.2f} CPR, "
+      f"memory bound {memory_min_cpr(K):.2f} CPR\n")
 
 reference = loglike(data, beta)
 print(f"{'strategy':<14}{'workers':>8}{'value':>18}{'ms/eval':>10}{'CPR*':>8}")
 for strategy in Strategy:
     for workers in (1, 4):
-        plan = ExecPlan(strategy, workers=workers, n_chunks=8)
+        plan = ExecPlan(strategy, workers=workers,
+                        n_chunks=8 if strategy is Strategy.PLF_CHUNKED else 1)
         loglike(data, beta, plan)  # warm-up
         t0 = time.perf_counter()
         value = loglike(data, beta, plan)
         ms = (time.perf_counter() - t0) * 1e3
-        cpr = 2.6e9 * ms / 1e3 / N
+        cpr = perf.REFERENCE_CLOCK_GHZ * 1e9 * ms / 1e3 / N
         drift = abs(value - reference) / abs(reference)
         assert drift < 1e-8
         print(f"{strategy.value:<14}{workers:>8}{value:>18.6f}{ms:>10.2f}{cpr:>8.1f}")
 
-print("\n(*nominal 2.6 GHz cycles per row; every strategy agrees to 1e-8 relative)")
+print(f"\n(*nominal {perf.REFERENCE_CLOCK_GHZ} GHz cycles per row; "
+      "every strategy agrees to 1e-8 relative)")
 
 g = loglike_grad(data, beta, ExecPlan(Strategy.PLF_CHUNKED, workers=4, n_chunks=16))
 print(f"\ngradient under chunked PLF: f={g.f:.4f}, ||g||={np.linalg.norm(g.g):.4f}")

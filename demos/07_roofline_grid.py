@@ -1,20 +1,21 @@
 """Roofline bounds and the benchmark grid runner.
 
-The paper's reference machine induces two CPR floors: compute (peak flops)
-and memory (DRAM bandwidth).  The grid runner times kernel cells, counts
-their cycles at the reference clock, checks them against the compute floor
-and writes the standard CSV with roofline sidecar lines.  Only plf_chunked
-runs the chunk count; the other strategies run one cell each.
+The paper's reference machine, fixed as three constants of `perf` (its
+clock, peak flops per cycle and DRAM bytes per ns), induces two CPR floors:
+compute (peak flops) and memory (DRAM bandwidth).  The grid runner times
+kernel cells, counts their cycles at `perf.REFERENCE_CLOCK_GHZ` (2.6),
+checks them against the compute floor and writes the standard CSV with
+roofline sidecar lines.  Only plf_chunked runs the chunk count; the other
+strategies run one cell each.
 """
 
 from parmcmc import GridConfig, Strategy, run_grid
-from parmcmc.perf import REFERENCE_MACHINE, compute_min_cpr, memory_min_cpr, write_bench_csv
+from parmcmc.perf import compute_min_cpr, memory_min_cpr, write_bench_csv
 
 print("reference machine bounds (cycles per row):")
 print(f"{'K':>6}{'compute':>10}{'memory':>10}")
 for k in (10, 50, 64, 100, 1250):
-    print(f"{k:>6}{compute_min_cpr(REFERENCE_MACHINE, k):>10.3f}"
-          f"{memory_min_cpr(REFERENCE_MACHINE, k):>10.2f}")
+    print(f"{k:>6}{compute_min_cpr(k):>10.3f}{memory_min_cpr(k):>10.2f}")
 print("\nthe K=64 compute bound is exactly 1.0 CPR; the machine is "
       "memory-bound by an order of magnitude.\n")
 

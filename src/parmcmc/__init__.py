@@ -23,8 +23,7 @@ from .hb import (HbDataset, HbState, MappingMode, MappingPolicy, hb_benchmark,
 from .ising import (ColorPartition, IsingLattice, color_lattice, conditional_prob,
                     denoise, flip_noise, gibbs_sweep, read_pbm,
                     synthetic_binary_image, write_pbm)
-from .perf import (BenchRecord, GridConfig, HardwareDescriptor, REFERENCE_MACHINE,
-                   compute_min_cpr, memory_min_cpr, run_grid)
+from .perf import BenchRecord, GridConfig, compute_min_cpr, memory_min_cpr, run_grid
 from .rng import (BufferKind, DeviateBuffer, GammaParams, OneAtATimeNormal,
                   OneAtATimeUniform, dirichlet_sample, gamma_sample, rng_bench)
 from .sampler import (ChainConfig, ChainOutput, GaussianPrior, SliceShrinkError,

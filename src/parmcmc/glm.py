@@ -26,9 +26,12 @@ No memory is placed per socket: every worker reads the caller's X, since a
 shard copy made by the calling thread would be first-touched onto its node.
 
 All strategies produce the same values up to floating-point reassociation
-(<= 1e-8 relative), and a fixed plan on fixed input is bit-deterministic:
-blocks are static, worker accumulators are private, and merges happen in
-ascending worker order.
+(<= 1e-8 relative), and a fixed plan on fixed input is bit-deterministic
+under a fixed BLAS thread count: blocks are static, worker accumulators
+are private, and merges happen in ascending worker order.  OpenBLAS's own
+threads may reorder a matvec's sums, so the same plan under another
+OPENBLAS_NUM_THREADS can differ in the last bits (README, "Strategy
+invariance").
 
 The differential-update fast path (GlmWorkspace / diff_loglike /
 commit_update) maintains X.beta so a single-coordinate change costs O(N)

@@ -21,10 +21,16 @@ Stepping a bucket in one thread beats splitting it: both halves would run
 the same Python-heavy rounds and serialize on the GIL.
 
 Each group consumes an independent uniform stream keyed by
-(master seed, group index), so draws never depend on the mapping, the
-worker count, lockstep batching or scheduling order -- with one worker
-the two modes are bit-identical, and a single group's chain reproduces
-`sampler.run_chain` run on the same stream.
+(master seed, group index), so draws never depend on lockstep batching or
+scheduling order, and while every group has fewer than
+2 * glm._DIFF_MIN_ROWS rows they depend on neither the mapping nor the
+worker count either: every evaluation is then one row block, the two
+modes are bit-identical, and a single group's chain reproduces
+`sampler.run_chain` run on the same stream.  A group with more rows is
+summed by FINE over up to `workers` blocks of at least _DIFF_MIN_ROWS
+rows but by COARSE over one, so the two modes, and FINE at different
+worker counts, round differently: their draws agree only to floating-point
+tolerance and a stored L never passes between them.
 
 The per-sweep `neval` knob issues extra full log-likelihood evaluations
 per group before the sweep's updates, mimicking samplers that touch the group's
@@ -142,7 +148,8 @@ class HbState:
     """Per-group workspaces and RNG streams persisting across sweeps.
 
     A state belongs to the dataset it was built for; `hb_sweep` refuses
-    any other.
+    any other.  `stats` counts every sweep's evaluations and the first
+    answers taken from a stored L instead, whichever path ran.
     """
 
     def __init__(self, ds: HbDataset, prior: GaussianPrior, seed: int = 0):
@@ -160,7 +167,11 @@ class HbState:
                         for n in sizes]
         by_group = {m: ws for b in self.buckets for m, ws in zip(b.members, b.workspaces)}
         self.workspaces = [by_group[m] for m in range(ds.m_groups)]
-        self.total_evals = 0
+        self.stats = SliceStats()
+
+    @property
+    def total_evals(self) -> int:
+        return self.stats.evals
 
     @property
     def betas(self) -> list[np.ndarray]:
@@ -178,8 +189,8 @@ _SWEEP_CFG = ChainConfig(n_iter=1, n_burnin=0)
 _BLOCK_ELEMS = 1 << 15
 
 
-def _sweep_lockstep(bucket: _Bucket, prior: GaussianPrior) -> int:
-    """Sweep one bucket in lockstep; returns the number of evaluations.
+def _sweep_lockstep(bucket: _Bucket, prior: GaussianPrior, stats: SliceStats) -> None:
+    """Sweep one bucket in lockstep, counting into `stats`.
 
     For each coordinate every group runs its own `slice_moves`, started with
     the slope of its conditional at the current point: the slopes of all
@@ -197,7 +208,6 @@ def _sweep_lockstep(bucket: _Bucket, prior: GaussianPrior) -> int:
     """
     wss, xb, y = bucket.workspaces, bucket.xbeta, bucket.y
     rows = max(1, _BLOCK_ELEMS // y.shape[1])
-    evals = 0
     for k, xk in enumerate(bucket.xt):
         x0 = np.array([ws.beta_current[k] for ws in wss])
         slope0 = prior.slope_coord(k, x0)
@@ -210,11 +220,12 @@ def _sweep_lockstep(bucket: _Bucket, prior: GaussianPrior) -> int:
         d = np.zeros(len(wss))
         ll = np.array([ws.stored_loglike(1) for ws in wss], dtype=float)  # NaN: none stored
         active, fresh = np.arange(len(wss)), np.flatnonzero(np.isnan(ll))
+        stats.reused += len(wss) - fresh.size
         while active.size:
             for j in range(0, fresh.size, rows):
                 part = fresh[j:j + rows]
                 ll[part] = _shifted_loglike(xb, xk, y, part, d[part, None])
-            evals += fresh.size
+            stats.evals += fresh.size
             stepping = []
             for i, fi in zip(active, prior.logpdf_coord(k, x0[active] + d[active]) + ll[active]):
                 try:
@@ -226,7 +237,6 @@ def _sweep_lockstep(bucket: _Bucket, prior: GaussianPrior) -> int:
                         wss[i].store_loglike(ll[i], 1)
             active = fresh = np.array(stepping, dtype=np.intp)
             d[active] = x[active] - x0[active]
-    return evals
 
 
 def hb_sweep(ds: HbDataset, state: HbState, prior: GaussianPrior,
@@ -256,15 +266,14 @@ def hb_sweep(ds: HbDataset, state: HbState, prior: GaussianPrior,
                     loglike(ds.groups[m], state.workspaces[m].beta_current, inner_plan)
 
         parallel.run_region([lambda w=w: passes(w) for w in range(outer)])
+    stats = state.stats
     if inner == 1:
-        evals = sum(_sweep_lockstep(b, prior) for b in state.buckets)
+        for b in state.buckets:
+            _sweep_lockstep(b, prior, stats)
     else:
-        stats = SliceStats()
         for ws, buf in zip(state.workspaces, state.buffers):
             for k in range(ds.n_cols):
                 slice_sample_coord(ws, prior, k, buf, _SWEEP_CFG, inner, stats=stats)
-        evals = stats.evals
-    state.total_evals += evals
     return state.betas
 
 

@@ -3,7 +3,9 @@
 CPR (clock cycles per row) is wall time per evaluation expressed in
 nominal CPU cycles and divided by the row count: the workload-native
 throughput metric all benchmarks here share.  Bounds come from the
-paper's reference machine, `REFERENCE_MACHINE`:
+paper's reference machine, a dual-socket 2.6 GHz host with 8 cores per
+socket, 256-bit FMA vector units and four 8-byte DDR channels per socket
+at 1.6 GHz, fixed here as three constants:
 
 * compute bound  2K flops per row against peak FMA throughput,
 * memory bound   8(K+1) bytes per row against peak DRAM bandwidth.
@@ -12,10 +14,10 @@ Measured CPR can never beat the compute bound (the grid runner enforces
 this); the memory bound is reported for context only, since cache-resident
 working sets legitimately beat DRAM bandwidth.
 
-Timing uses the monotonic wall clock converted with the reference
-machine's nominal frequency.  Hardware event counters are deliberately
-out of scope; structural facts (regions, merges, flops) come from
-`instrumentation` instead.
+Timing uses the monotonic wall clock converted at the reference clock,
+`REFERENCE_CLOCK_GHZ`, read at call time.  Hardware event counters are
+deliberately out of scope; structural facts (regions, merges, flops) come
+from `instrumentation` instead.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -32,57 +34,34 @@ from . import parallel
 from .glm import ExecPlan, Strategy, loglike, loglike_grad, synthetic_logistic
 
 __all__ = [
-    "HardwareDescriptor", "REFERENCE_MACHINE", "BenchRecord", "GridConfig",
+    "REFERENCE_CLOCK_GHZ", "BenchRecord", "GridConfig",
     "RooflineViolation", "compute_min_cpr", "memory_min_cpr", "run_grid",
     "write_bench_csv", "parse_grid_config", "region_overhead_probe",
 ]
 
 
-@dataclass(frozen=True)
-class HardwareDescriptor:
-    """Machine parameters for the bound formulas.
-
-    Defaults describe the reference machine: dual-socket 2.6 GHz, 8 cores
-    per socket, 256-bit vector units with FMA, four 8-byte DDR channels
-    per socket at 1.6 GHz.
-    """
-
-    cpu_clock_ghz: float = 2.6
-    sockets: int = 2
-    cores_per_socket: int = 8
-    vector_bits: int = 256
-    flops_per_lane_per_clock: int = 2
-    mem_channels_per_socket: int = 4
-    bytes_per_channel_per_mem_clock: int = 8
-    mem_clock_ghz: float = 1.6
-
-    def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"{f.name} must be positive")
-
-
-REFERENCE_MACHINE = HardwareDescriptor()
+#: the reference machine's nominal CPU clock; CPR counts cycles at this rate
+REFERENCE_CLOCK_GHZ = 2.6
+#: peak flops per CPU cycle: 2 sockets x 8 cores x 4 float64 lanes x 2 (FMA)
+_PEAK_FLOPS_PER_CYCLE = 128.0
+#: peak DRAM bytes per ns: 2 sockets x 4 channels x 8 B x 1.6 GHz
+_DRAM_BYTES_PER_NS = 102.4
 
 _WARMUP = 3  # untimed evaluations per grid cell, to reach a steady cache state
 
 
-def compute_min_cpr(hw: HardwareDescriptor, n_cols: int) -> float:
+def compute_min_cpr(n_cols: int) -> float:
     """Lower CPR bound from peak flop rate: 2K flops/row over machine flops/cycle."""
     if n_cols < 1:
         raise ValueError("n_cols must be >= 1")
-    lanes = hw.vector_bits / 64
-    return 2.0 * n_cols / (hw.flops_per_lane_per_clock * lanes
-                           * hw.cores_per_socket * hw.sockets)
+    return 2.0 * n_cols / _PEAK_FLOPS_PER_CYCLE
 
 
-def memory_min_cpr(hw: HardwareDescriptor, n_cols: int) -> float:
+def memory_min_cpr(n_cols: int) -> float:
     """Lower CPR bound from DRAM bandwidth: 8(K+1) bytes/row over bytes/CPU-cycle."""
     if n_cols < 1:
         raise ValueError("n_cols must be >= 1")
-    bandwidth_per_clock = (hw.bytes_per_channel_per_mem_clock * hw.mem_channels_per_socket
-                           * hw.sockets * hw.mem_clock_ghz)
-    return hw.cpu_clock_ghz * 8.0 * (n_cols + 1) / bandwidth_per_clock
+    return REFERENCE_CLOCK_GHZ * 8.0 * (n_cols + 1) / _DRAM_BYTES_PER_NS
 
 
 @dataclass
@@ -101,7 +80,7 @@ class BenchRecord:
     @classmethod
     def from_wall(cls, label: str, n_rows: int, n_cols: int, workers: int,
                   n_chunks: int, wall_seconds: float, evals: int) -> "BenchRecord":
-        cpr = REFERENCE_MACHINE.cpu_clock_ghz * 1e9 * wall_seconds / (evals * n_rows)
+        cpr = REFERENCE_CLOCK_GHZ * 1e9 * wall_seconds / (evals * n_rows)
         return cls(label, n_rows, n_cols, workers, n_chunks, cpr, wall_seconds, evals)
 
 
@@ -128,6 +107,10 @@ class GridConfig:
             raise ValueError(f"op must be 'loglike' or 'grad', got {self.op!r}")
         if min(self.evals, self.reps) < 1:
             raise ValueError("evals, reps must be >= 1")
+        for key in ("n_rows", "n_cols", "workers", "chunks"):
+            bad = [v for v in getattr(self, key) if v < 1]
+            if bad:
+                raise ValueError(f"{key} values must be >= 1, got {bad[0]}")
 
 
 def _cell_seed(seed: int, *parts: int) -> int:
@@ -173,7 +156,7 @@ def _run_cell(cfg, data, betas, label, strategy, workers, chunks, n, k) -> Bench
         walls.append(time.perf_counter() - t0)
     rec = BenchRecord.from_wall(label, n, k, workers, chunks,
                                 statistics.median(walls), cfg.evals)
-    bound = compute_min_cpr(REFERENCE_MACHINE, k)
+    bound = compute_min_cpr(k)
     if rec.cpr < bound:
         raise RooflineViolation(
             f"measured cpr {rec.cpr:.4g} beats the compute bound {bound:.4g}")
@@ -191,8 +174,8 @@ def write_bench_csv(records: list[BenchRecord], path,
         fh.write("label,n_rows,n_cols,workers,n_chunks,cpr,wall_seconds,evals\n")
         for k in sorted({r.n_cols for r in records}):
             fh.write(f"# roofline n_cols={k} "
-                     f"compute_min_cpr={compute_min_cpr(REFERENCE_MACHINE, k):.6g} "
-                     f"memory_min_cpr={memory_min_cpr(REFERENCE_MACHINE, k):.6g}\n")
+                     f"compute_min_cpr={compute_min_cpr(k):.6g} "
+                     f"memory_min_cpr={memory_min_cpr(k):.6g}\n")
         for r in records:
             fh.write(f"{r.label},{r.n_rows},{r.n_cols},{r.workers},{r.n_chunks},"
                      f"{r.cpr:.6g},{r.wall_seconds:.6g},{r.evals}\n")

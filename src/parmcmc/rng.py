@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .perf import REFERENCE_MACHINE
+from . import perf
 
 __all__ = [
     "BufferKind", "RngDrainError", "DeviateBuffer", "OneAtATimeUniform", "OneAtATimeNormal",
@@ -279,8 +279,8 @@ def rng_bench(dist: BenchDist, mode: BenchMode, n: int, seed: int = 0) -> RngBen
     """Time generating n deviates and report cycles per sample.
 
     Batch mode consumes default-capacity buffers; one-at-a-time mode invokes
-    the generator per deviate.  Cycles count at the reference machine's
-    nominal clock.  Dirichlet draws are K=100 vectors and the per-sample
+    the generator per deviate.  Cycles count at `perf.REFERENCE_CLOCK_GHZ`,
+    read at call time.  Dirichlet draws are K=100 vectors and the per-sample
     normalization is per Gamma component generated.
     """
     if n < 1:
@@ -324,7 +324,7 @@ def rng_bench(dist: BenchDist, mode: BenchMode, n: int, seed: int = 0) -> RngBen
             gen = u_src.generated + n_src.generated
             used = u_src.consumed + n_src.consumed
             waste = (gen - used) / gen if gen else 0.0
-    cps = wall * REFERENCE_MACHINE.cpu_clock_ghz * 1e9 / samples
+    cps = wall * perf.REFERENCE_CLOCK_GHZ * 1e9 / samples
     return RngBenchRecord(dist.value, mode.value, n, cps, waste)
 
 

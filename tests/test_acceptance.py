@@ -13,7 +13,7 @@ import parmcmc as pm
 from parmcmc.glm import ExecPlan, GlmWorkspace, Strategy, loglike, loglike_grad, synthetic_logistic
 from parmcmc.instrumentation import counters
 from parmcmc.ising import IsingLattice, denoise, flip_noise, gibbs_sweep, synthetic_binary_image
-from parmcmc.perf import REFERENCE_MACHINE, compute_min_cpr, memory_min_cpr, write_bench_csv
+from parmcmc.perf import compute_min_cpr, memory_min_cpr, write_bench_csv
 from parmcmc.rng import (BenchDist, BenchMode, BufferKind, DeviateBuffer, GammaParams,
                          gamma_sample, rng_bench)
 from parmcmc.sampler import ChainConfig, GaussianPrior, log_posterior_coord, run_chain
@@ -33,8 +33,8 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 # ---------------------------------------------------------------------------
 
 def test_criterion_1_roofline_reproduction():
-    c = compute_min_cpr(REFERENCE_MACHINE, 64)
-    m = memory_min_cpr(REFERENCE_MACHINE, 50)
+    c = compute_min_cpr(64)
+    m = memory_min_cpr(50)
     ok = abs(c - 1.000) < 5e-4 and abs(m - 10.35) <= 0.05
     _report(1, "roofline reproduction", ok, f"compute(64)={c:.6g} memory(50)={m:.6g}")
 

@@ -117,7 +117,7 @@ def test_bench_internal_error_returns_one(tmp_path, monkeypatch):
 def test_bench_cell_failures_still_exit_zero(tmp_path, monkeypatch):
     # a fantasy clock makes the roofline check reject every cell: rows are
     # flagged in the CSV but the command succeeds
-    monkeypatch.setattr(perf, "REFERENCE_MACHINE", perf.HardwareDescriptor(cpu_clock_ghz=1e-9))
+    monkeypatch.setattr(perf, "REFERENCE_CLOCK_GHZ", 1e-9)
     cfgfile = tmp_path / "absurd.cfg"
     cfgfile.write_text("N = 200\nK = 4\nstrategies = plf\nworkers = 1\n"
                        "evals = 2\nreps = 2\n")
@@ -126,15 +126,28 @@ def test_bench_cell_failures_still_exit_zero(tmp_path, monkeypatch):
     assert "[failed:" in out.read_text()
 
 
-def test_bench_failed_rows_keep_header_width(tmp_path):
-    # the failure message "n_chunks must be >= 1, got 0" holds a comma
+def test_bench_failed_rows_keep_header_width(tmp_path, monkeypatch):
+    # the failure message holds a comma
+    def fail(*args):
+        raise RuntimeError("cell failed, on purpose")
+    monkeypatch.setattr(perf, "loglike", fail)
     out = tmp_path / "f.csv"
     assert cli.main(["bench", "--N", "100", "--K", "2", "--strategies", "plf_chunked",
-                     "--chunks", "0", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
     with open(out, newline="") as fh:
         rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
-    assert any("[failed: n_chunks must be >= 1, got 0]" in r[0] for r in rows)
+    assert any("[failed: cell failed, on purpose]" in r[0] for r in rows)
     assert all(len(r) == len(rows[0]) for r in rows)
+
+
+@pytest.mark.parametrize("flag, key", [("--chunks", "chunks"), ("--workers", "workers"),
+                                       ("--N", "n_rows")])
+def test_bench_axis_value_below_one_is_input_error(tmp_path, capsys, flag, key):
+    argv = {"--N": "500", "--K": "2", "--strategies": "som", flag: "0"}
+    out = tmp_path / "x.csv"
+    assert cli.main(["bench", *(a for kv in argv.items() for a in kv), "--out", str(out)]) == 2
+    assert f"{key} values must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

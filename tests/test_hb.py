@@ -89,16 +89,22 @@ def test_neval_does_not_change_draws():
 
 def test_group_chain_decomposes_to_single_group_chains():
     # fixed hyperprior: each group's HB chain must equal an independent
-    # run_chain fed the identical spawned stream
+    # run_chain fed the identical spawned stream, and the state's counts
+    # must be the sum of the chains' counts, on either sweep path
     ds, _, prior = tiny_setup(m=2, k=3, navg=120, seed=6)
     n_sweeps = 10
-    betas, _ = run_sweeps(ds, prior, MappingPolicy(MappingMode.COARSE, workers=2),
-                          n_sweeps, seed=17)
-    for m in range(ds.m_groups):
-        solo = run_chain(ds.groups[m], prior,
-                         ChainConfig(n_iter=n_sweeps, n_burnin=0),
-                         rng=DeviateBuffer(BufferKind.UNIFORM01, seed=17, owner=(m,)))
-        assert np.array_equal(solo.draws[-1], betas[m])
+    for mode in MappingMode:
+        betas, state = run_sweeps(ds, prior, MappingPolicy(mode, workers=2),
+                                  n_sweeps, seed=17)
+        solos = []
+        for m in range(ds.m_groups):
+            solo = run_chain(ds.groups[m], prior,
+                             ChainConfig(n_iter=n_sweeps, n_burnin=0),
+                             rng=DeviateBuffer(BufferKind.UNIFORM01, seed=17, owner=(m,)))
+            assert np.array_equal(solo.draws[-1], betas[m])
+            solos.append(solo)
+        assert state.total_evals == sum(solo.accept_evals for solo in solos)
+        assert state.stats.reused == sum(solo.reused for solo in solos) > 0
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -1,13 +1,11 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from parmcmc import perf
 from parmcmc.glm import Strategy
-from parmcmc.perf import (BenchRecord, GridConfig, HardwareDescriptor, REFERENCE_MACHINE,
-                          compute_min_cpr, memory_min_cpr, parse_grid_config,
-                          region_overhead_probe, run_grid, write_bench_csv)
+from parmcmc.perf import (BenchRecord, GridConfig, compute_min_cpr, memory_min_cpr,
+                          parse_grid_config, region_overhead_probe, run_grid,
+                          write_bench_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -17,35 +15,31 @@ from parmcmc.perf import (BenchRecord, GridConfig, HardwareDescriptor, REFERENCE
 def test_compute_bound_reference_machine():
     # the reference machine's denominator is 128 flops/cycle, so the bound
     # collapses to K/64
-    assert compute_min_cpr(REFERENCE_MACHINE, 64) == pytest.approx(1.0, abs=1e-12)
-    assert compute_min_cpr(REFERENCE_MACHINE, 50) == pytest.approx(0.78125, abs=1e-12)
+    assert compute_min_cpr(64) == pytest.approx(1.0, abs=1e-12)
+    assert compute_min_cpr(50) == pytest.approx(0.78125, abs=1e-12)
     for k in (1, 10, 1250):
-        assert compute_min_cpr(REFERENCE_MACHINE, k) == pytest.approx(k / 64, rel=1e-12)
+        assert compute_min_cpr(k) == pytest.approx(k / 64, rel=1e-12)
 
 
 def test_memory_bound_reference_machine():
-    v = memory_min_cpr(REFERENCE_MACHINE, 50)
+    v = memory_min_cpr(50)
     assert v == pytest.approx(10.359375, abs=1e-9)
     assert abs(v - 10.35) < 0.05
     # large-K slope is about K/5
-    assert memory_min_cpr(REFERENCE_MACHINE, 1000) == pytest.approx(1000 / 4.923, rel=0.01)
+    assert memory_min_cpr(1000) == pytest.approx(1000 / 4.923, rel=0.01)
 
 
 def test_bounds_scale_as_documented():
-    halved = dataclasses.replace(REFERENCE_MACHINE, vector_bits=128)
-    assert compute_min_cpr(halved, 32) == pytest.approx(2 * compute_min_cpr(REFERENCE_MACHINE, 32))
     # the machine is memory-bound by an order of magnitude
-    ratio = memory_min_cpr(REFERENCE_MACHINE, 50) / compute_min_cpr(REFERENCE_MACHINE, 50)
+    ratio = memory_min_cpr(50) / compute_min_cpr(50)
     assert 9.0 < ratio < 14.0
 
 
 def test_bound_input_validation():
     with pytest.raises(ValueError):
-        compute_min_cpr(REFERENCE_MACHINE, 0)
+        compute_min_cpr(0)
     with pytest.raises(ValueError):
-        memory_min_cpr(REFERENCE_MACHINE, -1)
-    with pytest.raises(ValueError):
-        HardwareDescriptor(cpu_clock_ghz=0.0)
+        memory_min_cpr(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +72,7 @@ def test_grid_covers_axes_and_respects_roofline():
     records, failures = run_grid(cfg)
     assert len(records) == 8 and not failures
     for rec in records:
-        assert rec.cpr >= compute_min_cpr(REFERENCE_MACHINE, rec.n_cols)
+        assert rec.cpr >= compute_min_cpr(rec.n_cols)
 
 
 def test_grid_timing_stability_single_worker():
@@ -96,7 +90,7 @@ def test_grid_timing_stability_single_worker():
 def test_grid_records_failures_and_continues(monkeypatch):
     # a fantasy machine whose compute bound exceeds any real measurement:
     # the roofline sanity check must flag the cell, not crash the grid
-    monkeypatch.setattr(perf, "REFERENCE_MACHINE", HardwareDescriptor(cpu_clock_ghz=1e-9))
+    monkeypatch.setattr(perf, "REFERENCE_CLOCK_GHZ", 1e-9)
     cfg = GridConfig(n_rows=[500], n_cols=[4], strategies=[Strategy.PLF, Strategy.SOM],
                      workers=[1], evals=2, reps=2)
     records, failures = run_grid(cfg)
@@ -120,6 +114,14 @@ def test_grid_crosses_chunks_only_with_plf_chunked():
     assert len(records) == 4 and not failures
     assert all(r.n_chunks == 1 for r in records if r.label in ("loglike/som", "loglike/plf"))
     assert sorted(r.n_chunks for r in records if r.label == "loglike/plf_chunked") == [1, 8]
+
+
+@pytest.mark.parametrize("key", ["n_rows", "n_cols", "workers", "chunks"])
+def test_grid_config_rejects_axis_values_below_one(key):
+    # checked where the grid is built, not left to a failed cell or ignored
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=f"{key} values must be >= 1, got {bad}"):
+            GridConfig(**{key: [1, bad]})
 
 
 # ---------------------------------------------------------------------------
