@@ -1,5 +1,8 @@
 """Command-line entry point: benchmarks, sampling runs, denoising. CSV out.
 
+Every flag is typed; list flags take comma-separated items.  `bench` passes
+only the grid flags given, so `perf.GridConfig` alone holds grid defaults.
+
 Exit codes: 0 success, 2 usage or input error, 1 internal error.  Every
 command is deterministic in its non-timing outputs given --seed.
 """
@@ -7,6 +10,7 @@ command is deterministic in its non-timing outputs given --seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import traceback
 from itertools import product
@@ -24,6 +28,22 @@ _DESC = {
 }
 
 
+def _items(text: str) -> list[str]:
+    """The stripped items of a comma-separated list; an empty item raises ValueError."""
+    items = [v.strip() for v in text.split(",")]
+    if "" in items:
+        raise ValueError(f"empty item in {text!r}")
+    return items
+
+
+def _ints(text: str) -> list[int]:
+    return [int(v) for v in _items(text)]
+
+
+def _words(text: str) -> list[str]:
+    return [v.lower() for v in _items(text)]
+
+
 def _flag_type(parse):
     """`parse` as an argparse type whose usage error gives the parser's reason."""
     def parse_flag(text):
@@ -36,21 +56,23 @@ def _flag_type(parse):
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="parmcmc")
-    ints, words = _flag_type(perf._ints), _flag_type(perf._words)
+    ints, words = _flag_type(_ints), _flag_type(_words)
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bench", help=_DESC["bench"])
-    # grid settings stay text here: perf parses flags and grid files alike
-    b.add_argument("--config", help="key=value grid file; its keys win, flags fill the rest")
-    b.add_argument("--N", dest="n_rows", help="row counts, comma separated")
-    b.add_argument("--K", dest="n_cols", help="column counts, comma separated")
-    b.add_argument("--strategies", help="som,plf,plf_chunked,sharded")
-    b.add_argument("--workers")
-    b.add_argument("--chunks", help="plf_chunked's chunk counts, comma separated")
-    b.add_argument("--op", help="loglike or grad")
-    b.add_argument("--evals")
-    b.add_argument("--reps")
-    b.add_argument("--seed")
+    b.add_argument("--N", dest="n_rows", type=ints, required=True,
+                   help="row counts, comma separated")
+    b.add_argument("--K", dest="n_cols", type=ints, required=True,
+                   help="column counts, comma separated")
+    b.add_argument("--strategies",
+                   type=_flag_type(lambda text: [glm.Strategy(v) for v in _words(text)]),
+                   help=",".join(s.value for s in glm.Strategy))
+    b.add_argument("--workers", type=ints)
+    b.add_argument("--chunks", type=ints, help="plf_chunked's chunk counts, comma separated")
+    b.add_argument("--op", type=str.lower, choices=("loglike", "grad"))
+    b.add_argument("--evals", type=int)
+    b.add_argument("--reps", type=int)
+    b.add_argument("--seed", type=int)
     b.add_argument("--out", default="bench.csv")
     b.set_defaults(func=cmd_bench)
 
@@ -105,12 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_bench(args) -> int:
-    settings = {k: v for k, v in vars(args).items() if k in perf._PARSERS and v is not None}
-    if args.config:
-        settings.update(perf._read_grid_file(args.config))  # the file's keys win
-    elif not {"n_rows", "n_cols"} <= settings.keys():
-        raise ValueError("need --N and --K (or --config)")
-    cfg = perf._grid_config(settings)
+    grid_keys = {f.name for f in dataclasses.fields(perf.GridConfig)}
+    cfg = perf.GridConfig(**{k: v for k, v in vars(args).items()
+                             if k in grid_keys and v is not None})
     records, failures = perf.run_grid(cfg)
     perf.write_bench_csv(records, args.out, failures=failures)
     for cell, msg in failures:

@@ -73,9 +73,9 @@ class MappingPolicy:
 
     def __post_init__(self):
         if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.neval < 1:
-            raise ValueError("neval must be >= 1")
+            raise ValueError(f"neval must be >= 1, got {self.neval}")
 
 
 class HbDataset:

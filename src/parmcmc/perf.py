@@ -36,7 +36,7 @@ from .glm import ExecPlan, Strategy, loglike, loglike_grad, synthetic_logistic
 __all__ = [
     "REFERENCE_CLOCK_GHZ", "BenchRecord", "GridConfig",
     "RooflineViolation", "compute_min_cpr", "memory_min_cpr", "run_grid",
-    "write_bench_csv", "parse_grid_config", "region_overhead_probe",
+    "write_bench_csv", "region_overhead_probe",
 ]
 
 
@@ -105,8 +105,9 @@ class GridConfig:
     def __post_init__(self):
         if self.op not in ("loglike", "grad"):
             raise ValueError(f"op must be 'loglike' or 'grad', got {self.op!r}")
-        if min(self.evals, self.reps) < 1:
-            raise ValueError("evals, reps must be >= 1")
+        for key, value in (("evals", self.evals), ("reps", self.reps)):
+            if value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
         for key in ("n_rows", "n_cols", "workers", "chunks"):
             bad = [v for v in getattr(self, key) if v < 1]
             if bad:
@@ -182,76 +183,6 @@ def write_bench_csv(records: list[BenchRecord], path,
         writer = csv.writer(fh, lineterminator="\n")
         for cell, msg in failures or []:
             writer.writerow([f"{cell} [failed: {msg}]"] + [""] * 7)
-
-
-def _items(text: str) -> list[str]:
-    """The stripped items of a comma-separated list; an empty item raises ValueError."""
-    items = [v.strip() for v in text.split(",")]
-    if "" in items:
-        raise ValueError(f"empty item in {text!r}")
-    return items
-
-
-def _ints(text: str) -> list[int]:
-    return [int(v) for v in _items(text)]
-
-
-def _words(text: str) -> list[str]:
-    return [v.lower() for v in _items(text)]
-
-
-#: each grid key's one text parser, shared by grid files and `parmcmc bench` flags;
-#: `_ints` and `_words` also parse the other commands' list flags
-_PARSERS = {
-    "n_rows": _ints, "n_cols": _ints, "workers": _ints, "chunks": _ints,
-    "strategies": lambda text: [Strategy(v) for v in _words(text)],
-    "op": str.lower, "evals": int, "reps": int, "seed": int,
-}
-_KEY_ALIASES = {"n": "n_rows", "k": "n_cols"}
-
-
-def _read_grid_file(path) -> dict[str, str]:
-    """A grid file's settings as {grid key: value text}, aliases resolved."""
-    settings = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value, got {raw.rstrip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = _KEY_ALIASES.get(key.lower(), key.lower())
-            if key not in _PARSERS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            settings[key] = value
-    return settings
-
-
-def _grid_config(settings: dict[str, str]) -> GridConfig:
-    """A GridConfig from {grid key: value text}; its defaults fill the other keys."""
-    kwargs = {}
-    for key, text in settings.items():
-        try:
-            kwargs[key] = _PARSERS[key](text)
-        except ValueError as exc:
-            raise ValueError(f"{key} = {text!r}: {exc}") from None
-    return GridConfig(**kwargs)
-
-
-def parse_grid_config(path) -> GridConfig:
-    """Plain key=value grid file; comma-separated lists for axis keys.
-
-    Example::
-
-        n_rows = 1000, 100000
-        n_cols = 10
-        strategies = som, plf, plf_chunked
-        workers = 1, 2, 4
-        chunks = 8
-        evals = 5
-    """
-    return _grid_config(_read_grid_file(path))
 
 
 def region_overhead_probe(workers: int, reps: int = 200) -> float:

@@ -284,7 +284,7 @@ def rng_bench(dist: BenchDist, mode: BenchMode, n: int, seed: int = 0) -> RngBen
     normalization is per Gamma component generated.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"n must be >= 1, got {n}")
     waste = 0.0
     if dist in (BenchDist.UNIFORM, BenchDist.NORMAL):
         kind = BufferKind.UNIFORM01 if dist is BenchDist.UNIFORM else BufferKind.STD_NORMAL

@@ -60,6 +60,10 @@ class GaussianPrior:
         object.__setattr__(self, "sigma", np.ascontiguousarray(self.sigma, dtype=np.float64))
         if self.mu.ndim != 1 or self.mu.shape != self.sigma.shape:
             raise ValueError("mu and sigma must be 1-D vectors of equal length")
+        for name, v in (("mu", self.mu), ("sigma", self.sigma)):
+            bad = v[~np.isfinite(v)]
+            if bad.size:
+                raise ValueError(f"prior {name} must be finite, got {bad[0]}")
         if not np.all(self.sigma > 0):
             raise ValueError("all prior sigmas must be > 0")
 

@@ -1,10 +1,13 @@
 import csv
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from parmcmc import cli, perf
+from parmcmc.glm import Strategy
 from parmcmc.ising import flip_noise, read_pbm, synthetic_binary_image, write_pbm
 
 
@@ -45,64 +48,42 @@ def test_bench_determinism_of_non_timing_columns(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_bench_config_file_wins(tmp_path):
-    cfgfile = tmp_path / "grid.cfg"
-    cfgfile.write_text("N = 200\nK = 3\nstrategies = plf\nworkers = 1\nevals = 2\nreps = 2\n")
-    out = tmp_path / "c.csv"
-    rc = cli.main(["bench", "--config", str(cfgfile), "--N", "999999",
-                   "--K", "77", "--out", str(out)])
-    assert rc == 0
-    _, rows = read_csv_rows(out)
-    assert len(rows) == 1 and rows[0].split(",")[1] == "200"
-
-
-def _grid_without_op_or_seed(tmp_path):
-    cfgfile = tmp_path / "grid.cfg"
-    cfgfile.write_text("N = 200\nK = 3\nstrategies = plf\nworkers = 1\nevals = 2\nreps = 2\n")
-    return str(cfgfile)
-
-
-def test_bench_op_flag_fills_a_config_file_without_op(tmp_path):
-    out = tmp_path / "g.csv"
-    assert cli.main(["bench", "--config", _grid_without_op_or_seed(tmp_path),
-                     "--op", "grad", "--out", str(out)]) == 0
-    _, rows = read_csv_rows(out)
-    assert rows and all(r.startswith("grad/") for r in rows)
-
-
-def test_bench_seed_flag_fills_a_config_file_without_seed(tmp_path, monkeypatch):
+def _seen_grid(monkeypatch):
     seen = []
     monkeypatch.setattr(perf, "run_grid", lambda cfg: seen.append(cfg) or ([], []))
-    assert cli.main(["bench", "--config", _grid_without_op_or_seed(tmp_path), "--seed", "5",
-                     "--evals", "9", "--out", str(tmp_path / "s.csv")]) == 0
-    assert seen[0].seed == 5 and seen[0].evals == 2  # the file's evals win
+    return seen
 
 
-def test_bench_bad_config_is_input_error(tmp_path, capsys):
-    cfgfile = tmp_path / "bad.cfg"
-    for key in ("nonsense", "cpu_clock_ghz", "warmup"):
-        cfgfile.write_text(f"{key} = 1\n")
-        assert cli.main(["bench", "--config", str(cfgfile)]) == 2
-        assert f"unknown key '{key}'" in capsys.readouterr().err
+def test_bench_every_flag_sets_its_grid_field(tmp_path, monkeypatch):
+    seen = _seen_grid(monkeypatch)
+    assert cli.main(["bench", "--N", "100,200", "--K", "5", "--strategies", "SOM, plf_chunked",
+                     "--workers", "1,2", "--chunks", "8", "--op", "Grad", "--evals", "4",
+                     "--reps", "2", "--seed", "7", "--out", str(tmp_path / "s.csv")]) == 0
+    assert seen == [perf.GridConfig(n_rows=[100, 200], n_cols=[5],
+                                    strategies=[Strategy.SOM, Strategy.PLF_CHUNKED],
+                                    workers=[1, 2], chunks=[8], op="grad", evals=4, reps=2,
+                                    seed=7)]
+
+
+def test_bench_unset_flags_take_grid_config_defaults(tmp_path, monkeypatch):
+    seen = _seen_grid(monkeypatch)
+    assert cli.main(["bench", "--N", "300", "--K", "3", "--out", str(tmp_path / "s.csv")]) == 0
+    assert seen == [perf.GridConfig(n_rows=[300], n_cols=[3])]
 
 
 def test_bench_removed_strategy_names_its_key(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     assert cli.main(["bench", "--N", "10", "--K", "2", "--strategies", "mos",
                      "--out", out]) == 2
-    assert "strategies = 'mos'" in capsys.readouterr().err
-    cfgfile = tmp_path / "mos.cfg"
-    cfgfile.write_text("N = 10\nK = 2\nstrategies = mos\n")
-    assert cli.main(["bench", "--config", str(cfgfile), "--out", out]) == 2
-    assert "strategies = 'mos'" in capsys.readouterr().err
+    assert "argument --strategies: 'mos'" in capsys.readouterr().err
 
 
 def test_bench_bad_value_names_its_key(tmp_path, capsys):
     assert cli.main(["bench", "--N", "10", "--K", "2", "--evals", "x",
                      "--out", str(tmp_path / "x.csv")]) == 2
-    assert "evals = 'x'" in capsys.readouterr().err
+    assert "argument --evals: invalid int value: 'x'" in capsys.readouterr().err
     assert cli.main(["bench", "--N", "1000,", "--K", "2", "--out", str(tmp_path / "x.csv")]) == 2
-    assert "n_rows = '1000,': empty item" in capsys.readouterr().err
+    assert "argument --N: empty item in '1000,'" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -118,11 +99,9 @@ def test_bench_cell_failures_still_exit_zero(tmp_path, monkeypatch):
     # a fantasy clock makes the roofline check reject every cell: rows are
     # flagged in the CSV but the command succeeds
     monkeypatch.setattr(perf, "REFERENCE_CLOCK_GHZ", 1e-9)
-    cfgfile = tmp_path / "absurd.cfg"
-    cfgfile.write_text("N = 200\nK = 4\nstrategies = plf\nworkers = 1\n"
-                       "evals = 2\nreps = 2\n")
     out = tmp_path / "f.csv"
-    assert cli.main(["bench", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert cli.main(["bench", "--N", "200", "--K", "4", "--strategies", "plf", "--workers", "1",
+                     "--evals", "2", "--reps", "2", "--out", str(out)]) == 0
     assert "[failed:" in out.read_text()
 
 
@@ -180,6 +159,14 @@ def test_glm_sample_zero_workers_is_input_error(tmp_path, capsys):
     assert cli.main(["glm-sample", "--synthetic", "150,3", "--iters", "30", "--burnin", "5",
                      "--workers", "0", "--out", str(out)]) == 2
     assert "workers must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_glm_sample_non_finite_prior_sigma_is_input_error(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert cli.main(["glm-sample", "--synthetic", "100,2", "--iters", "20", "--burnin", "5",
+                     "--prior-sigma", "inf", "--out", str(out)]) == 2
+    assert "prior sigma must be finite, got inf" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -333,3 +320,27 @@ def test_an_empty_list_or_item_is_a_usage_error_naming_its_flag(tmp_path, capsys
 def test_unknown_command_is_usage_error():
     assert cli.main(["frobnicate"]) == 2
     assert cli.main([]) == 2
+
+
+# ---------------------------------------------------------------------------
+# documented command lines
+# ---------------------------------------------------------------------------
+
+def _readme_command_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("parmcmc ")]
+
+
+def test_readme_command_lines_and_every_help_parse(capsys):
+    lines = _readme_command_lines()
+    assert {shlex.split(line)[1] for line in lines} == set(cli._DESC)
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line)[1:])
+    # help strings are formatted only here, so a bad one fails nowhere else
+    for command in cli._DESC:
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: parmcmc {command}")

@@ -51,10 +51,11 @@ def test_dataset_rejects_mismatched_k():
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        MappingPolicy(MappingMode.COARSE, workers=0)
-    with pytest.raises(ValueError):
-        MappingPolicy(MappingMode.FINE, neval=0)
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {bad}"):
+            MappingPolicy(MappingMode.COARSE, workers=bad)
+        with pytest.raises(ValueError, match=f"neval must be >= 1, got {bad}"):
+            MappingPolicy(MappingMode.FINE, neval=bad)
 
 
 # ---------------------------------------------------------------------------

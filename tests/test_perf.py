@@ -4,8 +4,7 @@ import pytest
 from parmcmc import perf
 from parmcmc.glm import Strategy
 from parmcmc.perf import (BenchRecord, GridConfig, compute_min_cpr, memory_min_cpr,
-                          parse_grid_config, region_overhead_probe, run_grid,
-                          write_bench_csv)
+                          region_overhead_probe, run_grid, write_bench_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -116,16 +115,18 @@ def test_grid_crosses_chunks_only_with_plf_chunked():
     assert sorted(r.n_chunks for r in records if r.label == "loglike/plf_chunked") == [1, 8]
 
 
-@pytest.mark.parametrize("key", ["n_rows", "n_cols", "workers", "chunks"])
+@pytest.mark.parametrize("key", ["n_rows", "n_cols", "workers", "chunks", "evals", "reps"])
 def test_grid_config_rejects_axis_values_below_one(key):
     # checked where the grid is built, not left to a failed cell or ignored
+    axis = key not in ("evals", "reps")
+    name = f"{key} values" if axis else key
     for bad in (0, -3):
-        with pytest.raises(ValueError, match=f"{key} values must be >= 1, got {bad}"):
-            GridConfig(**{key: [1, bad]})
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got {bad}"):
+            GridConfig(**{key: [1, bad] if axis else bad})
 
 
 # ---------------------------------------------------------------------------
-# CSV and config file
+# CSV
 # ---------------------------------------------------------------------------
 
 def test_write_csv_with_sidecar_and_failures(tmp_path):
@@ -138,37 +139,6 @@ def test_write_csv_with_sidecar_and_failures(tmp_path):
     assert any("[failed: boom]" in line for line in lines)
     data_rows = [l for l in lines[1:] if not l.startswith("#") and "[failed" not in l]
     assert len(data_rows) == 1 and data_rows[0].startswith("loglike/plf,100,7,1,1,")
-
-
-def test_parse_grid_config(tmp_path):
-    path = tmp_path / "grid.cfg"
-    path.write_text(
-        "# grid axes\n"
-        "N = 100, 200\n"
-        "K = 5\n"
-        "strategies = som, plf_chunked\n"
-        "workers = 1, 2\n"
-        "chunks = 8\n"
-        "evals = 4\n"
-        "reps = 2\n"
-        "seed = 7\n"
-        "op = grad\n")
-    cfg = parse_grid_config(path)
-    assert cfg.n_rows == [100, 200] and cfg.n_cols == [5]
-    assert cfg.strategies == [Strategy.SOM, Strategy.PLF_CHUNKED]
-    assert cfg.workers == [1, 2] and cfg.chunks == [8]
-    assert cfg.evals == 4 and cfg.reps == 2 and cfg.seed == 7 and cfg.op == "grad"
-
-
-def test_parse_grid_config_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "bad.cfg"
-    for key, value in (("bogus", "1"), ("cpu_clock_ghz", "3.1"), ("warmup", "0")):
-        path.write_text(f"{key} = {value}\n")
-        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
-            parse_grid_config(path)
-    path.write_text("just a line\n")
-    with pytest.raises(ValueError, match="key = value"):
-        parse_grid_config(path)
 
 
 def test_region_overhead_probe():

@@ -189,5 +189,6 @@ def test_bench_records_complete_and_positive(tmp_path):
 
 
 def test_bench_rejects_bad_n():
-    with pytest.raises(ValueError):
-        rng_bench(BenchDist.UNIFORM, BenchMode.BATCH, 0)
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {bad}"):
+            rng_bench(BenchDist.UNIFORM, BenchMode.BATCH, bad)

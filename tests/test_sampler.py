@@ -388,6 +388,16 @@ def test_config_validation():
         GaussianPrior(np.zeros(2), np.array([1.0, 0.0]))
 
 
+def test_prior_rejects_non_finite_mu_and_sigma():
+    # an infinite sigma would silently run a flat, improper prior
+    for name, bad in (("mu", np.inf), ("mu", np.nan), ("sigma", np.inf), ("sigma", np.nan)):
+        fields = {"mu": np.zeros(2), "sigma": np.ones(2)}
+        fields[name][1] = bad
+        with pytest.raises(ValueError, match=f"prior {name} must be finite, got {bad}"):
+            GaussianPrior(**fields)
+    GaussianPrior.isotropic(2, sigma=1e9)
+
+
 def test_prior_dimension_checked():
     data, _, _ = small_problem(k=4)
     with pytest.raises(ValueError):
