@@ -54,9 +54,15 @@ def _flag_type(parse):
     return parse_flag
 
 
+def _enum_list(kind) -> dict:
+    """type and help of a comma-list flag of `kind` members, named by value in any case."""
+    return {"type": _flag_type(lambda text: [kind(v) for v in _words(text)]),
+            "help": ",".join(m.value for m in kind)}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="parmcmc")
-    ints, words = _flag_type(_ints), _flag_type(_words)
+    ints = _flag_type(_ints)
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bench", help=_DESC["bench"])
@@ -64,9 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="row counts, comma separated")
     b.add_argument("--K", dest="n_cols", type=ints, required=True,
                    help="column counts, comma separated")
-    b.add_argument("--strategies",
-                   type=_flag_type(lambda text: [glm.Strategy(v) for v in _words(text)]),
-                   help=",".join(s.value for s in glm.Strategy))
+    b.add_argument("--strategies", **_enum_list(glm.Strategy))
     b.add_argument("--workers", type=ints)
     b.add_argument("--chunks", type=ints, help="plf_chunked's chunk counts, comma separated")
     b.add_argument("--op", type=str.lower, choices=("loglike", "grad"))
@@ -96,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--K", type=int, default=10)
     h.add_argument("--navg", type=ints, default=[1000], help="rows per group, grid axis")
     h.add_argument("--neval", type=ints, default=[1, 10])
-    h.add_argument("--modes", type=words, default=["coarse", "fine"])
+    h.add_argument("--modes", default=list(hb.MappingMode), **_enum_list(hb.MappingMode))
     h.add_argument("--workers", type=ints, default=[1])
     h.add_argument("--sweeps", type=int, default=3)
     h.add_argument("--reps", type=int, default=3)
@@ -117,8 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     i.set_defaults(func=cmd_ising_denoise)
 
     r = sub.add_parser("rng-bench", help=_DESC["rng-bench"])
-    r.add_argument("--dists", type=words, default=["uniform", "normal", "gamma"])
-    r.add_argument("--modes", type=words, default=["oaat", "batch"])
+    r.add_argument("--dists", default=[rng.BenchDist.UNIFORM, rng.BenchDist.NORMAL,
+                                       rng.BenchDist.GAMMA], **_enum_list(rng.BenchDist))
+    r.add_argument("--modes", default=list(rng.BenchMode), **_enum_list(rng.BenchMode))
     r.add_argument("--n", type=int, default=1_000_000)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--out", default="rng_bench.csv")
@@ -160,13 +165,12 @@ def cmd_glm_sample(args) -> int:
 
 
 def cmd_hb_bench(args) -> int:
-    modes = [hb.MappingMode(m) for m in args.modes]
     prior = sampler.GaussianPrior.isotropic(args.K)
     records = []
     for navg in args.navg:
         ds, _ = hb.synthetic_hb_dataset(args.groups, args.K, navg, seed=args.seed)
         policies = [hb.MappingPolicy(mode, workers=w, neval=ne)
-                    for mode, w, ne in product(modes, args.workers, args.neval)]
+                    for mode, w, ne in product(args.modes, args.workers, args.neval)]
         records.extend(hb.hb_benchmark(ds, prior, policies, n_sweeps=args.sweeps,
                                        reps=args.reps, seed=args.seed))
     perf.write_bench_csv(records, args.out)
@@ -193,8 +197,7 @@ def cmd_ising_denoise(args) -> int:
 def cmd_rng_bench(args) -> int:
     records = []
     for dist, mode in product(args.dists, args.modes):
-        records.append(rng.rng_bench(rng.BenchDist(dist), rng.BenchMode(mode),
-                                     args.n, seed=args.seed))
+        records.append(rng.rng_bench(dist, mode, args.n, seed=args.seed))
     rng.write_rng_bench_csv(records, args.out)
     for r in records:
         print(f"{r.dist:9s} {r.mode:5s} n={r.n} cycles/sample={r.cycles_per_sample:.1f} "

@@ -92,13 +92,14 @@ class ChainConfig:
 
     def __post_init__(self):
         if self.n_iter < 1:
-            raise ValueError("n_iter must be >= 1")
+            raise ValueError(f"n_iter must be >= 1, got {self.n_iter}")
         if not 0 <= self.n_burnin < self.n_iter:
-            raise ValueError("need 0 <= n_burnin < n_iter")
+            raise ValueError(f"need 0 <= n_burnin < n_iter, got n_burnin={self.n_burnin}, "
+                             f"n_iter={self.n_iter}")
         if not 0 < self.slice_width < math.inf:
             raise ValueError(f"slice_width must be finite and > 0, got {self.slice_width}")
         if self.slice_max_steps < 1:
-            raise ValueError("slice_max_steps must be >= 1")
+            raise ValueError(f"slice_max_steps must be >= 1, got {self.slice_max_steps}")
 
 
 @dataclass

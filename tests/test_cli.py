@@ -8,7 +8,9 @@ import pytest
 
 from parmcmc import cli, perf
 from parmcmc.glm import Strategy
+from parmcmc.hb import MappingMode
 from parmcmc.ising import flip_noise, read_pbm, synthetic_binary_image, write_pbm
+from parmcmc.rng import BenchDist, BenchMode
 
 
 def read_csv_rows(path):
@@ -315,6 +317,34 @@ def test_an_empty_list_or_item_is_a_usage_error_naming_its_flag(tmp_path, capsys
     assert f"argument {flag}:" in err and "empty item in" in err
     assert "_ints" not in err and "_words" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["hb-bench", "--modes", "coarse,bogus"], MappingMode),
+    (["rng-bench", "--dists", "uniform,cauchy"], BenchDist),
+    (["rng-bench", "--modes", "bogus"], BenchMode),
+])
+def test_a_bad_enum_item_fails_at_parse_time_naming_its_flag(tmp_path, capsys, argv, kind):
+    out = tmp_path / "o.csv"
+    bad = argv[2].split(",")[-1]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert f"argument {argv[1]}: '{bad}' is not a valid {kind.__name__}" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main([argv[0], "--help"]) == 0
+    names = ",".join(m.value for m in kind)
+    assert re.search(rf"{argv[1]} \w+ +{names}\n", capsys.readouterr().out)
+
+
+def test_enum_lists_parse_to_members_in_any_case():
+    parser = cli.build_parser()
+    args = parser.parse_args(["hb-bench", "--modes", "FINE, coarse"])
+    assert args.modes == [MappingMode.FINE, MappingMode.COARSE]
+    args = parser.parse_args(["rng-bench", "--dists", "Gamma", "--modes", "batch"])
+    assert args.dists == [BenchDist.GAMMA] and args.modes == [BenchMode.BATCH]
+    args = parser.parse_args(["rng-bench"])
+    assert args.dists == [BenchDist.UNIFORM, BenchDist.NORMAL, BenchDist.GAMMA]
+    assert args.modes == [BenchMode.ONE_AT_A_TIME, BenchMode.BATCH]
+    assert parser.parse_args(["hb-bench"]).modes == [MappingMode.COARSE, MappingMode.FINE]
 
 
 def test_unknown_command_is_usage_error():

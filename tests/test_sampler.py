@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -378,11 +380,14 @@ def test_chain_posterior_recovery_moderate():
 
 
 def test_config_validation():
-    for bad in (dict(n_iter=0, n_burnin=0), dict(n_iter=5, n_burnin=5),
-                dict(n_iter=5, n_burnin=0, slice_width=0.0),
-                dict(n_iter=5, n_burnin=0, slice_width=np.inf),
-                dict(n_iter=5, n_burnin=0, slice_max_steps=0)):
-        with pytest.raises(ValueError):
+    for bad, message in (
+            (dict(n_iter=0, n_burnin=0), "n_iter must be >= 1, got 0"),
+            (dict(n_iter=5, n_burnin=5), "need 0 <= n_burnin < n_iter, got n_burnin=5, n_iter=5"),
+            (dict(n_iter=5, n_burnin=-1), "need 0 <= n_burnin < n_iter, got n_burnin=-1, n_iter=5"),
+            (dict(n_iter=5, n_burnin=0, slice_width=0.0), "slice_width must be finite and > 0, got 0.0"),
+            (dict(n_iter=5, n_burnin=0, slice_width=np.inf), "slice_width must be finite and > 0, got inf"),
+            (dict(n_iter=5, n_burnin=0, slice_max_steps=0), "slice_max_steps must be >= 1, got 0")):
+        with pytest.raises(ValueError, match=re.escape(message)):
             ChainConfig(**bad)
     with pytest.raises(ValueError):
         GaussianPrior(np.zeros(2), np.array([1.0, 0.0]))
