@@ -143,8 +143,7 @@ _DIFF_MIN_ROWS = 1 << 15
 #: elements of X per chunk of a PLF or SHARDED gradient (1 MiB), so the
 #: transposed matvec finds the chunk the matvec just read still in L2; 4x
 #: hb._BLOCK_ELEMS, as two workers take the GIL in turn for each chunk's
-#: Python steps and numpy dispatch, though not inside its np.dot products
-#: (README, "Block sizes")
+#: Python steps (README, "Block sizes")
 _CHUNK_ELEMS = 1 << 17
 
 
@@ -206,13 +205,11 @@ def _block_eval(x, y, beta, g, t=None) -> float:
 
     The residual y - sigmoid(t) is formed as (y - 1/2) - tanh(t/2) / 2, the
     identity _coord_slope uses.  `t` is the block's X.beta when SOM has
-    already materialized it.  Both products are np.dot, which releases the
-    GIL around its BLAS call; `@` holds it for `x.T @ r` at small K and for
-    `x @ beta` at very large K, so the workers' products would run one
-    after the other (README, "Notes on scope").
+    already materialized it.  The transposed product is np.dot because
+    `x.T @ r` holds the GIL (README, "Notes on scope").
     """
     if t is None:
-        t = np.dot(x, beta)
+        t = x @ beta
     if g is not None:
         r = np.multiply(t, 0.5)
         np.tanh(r, out=r)
@@ -275,8 +272,7 @@ def _evaluate(data, beta, plan: ExecPlan, grad: bool) -> tuple[float, np.ndarray
     ts = [[None] * len(bl) for bl in blocks]
     if plan.strategy is Strategy.SOM:
         # sequence of maps: the full X.beta intermediate gets a region of its own
-        # (np.dot, as in _block_eval, so the workers' products run side by side)
-        ts = parallel.run_region([lambda bl=bl: [np.dot(x, beta) for x, _ in bl] for bl in blocks])
+        ts = parallel.run_region([lambda bl=bl: [x @ beta for x, _ in bl] for bl in blocks])
 
     def task(bl, bl_ts):
         def run():

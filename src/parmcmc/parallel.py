@@ -5,11 +5,8 @@ returns their results in task order.  Work is pre-assigned before the
 region starts (static scheduling); workers never exchange state, so the
 result of a region is bit-identical no matter how the OS schedules the
 threads.  Numpy releases the GIL inside most of its kernels, which is
-where all the heavy lifting happens; a task must not rely on the
-exceptions, which hold it for the whole call: `matmul` with a transposed
-operand and small K (`x.T @ r`), np.vecdot on (G, n) blocks, and `xt @ v`
-on a C-ordered (K, n) transpose.  np.dot computes the same bits with the
-GIL released (README, "Notes on scope").
+where all the heavy lifting happens; a few, such as `x.T @ r`, hold it
+for the whole call (README, "Notes on scope").
 
 The caller is a member of the team, as the thread that opens an OpenMP
 region is: it runs task 0 itself while the pool runs the rest, so an

@@ -400,22 +400,20 @@ def test_merge_count_equals_workers_not_rows():
 
 @pytest.mark.parametrize("fn", [glm._block_eval, glm._evaluate], ids=lambda f: f.__name__)
 def test_region_task_products_release_the_gil(fn):
-    """Every product a region task runs is np.dot, never `@`, matmul or vecdot.
+    """No region task runs `@` or matmul on a transposed operand, which holds
+    the GIL (README, "Notes on scope"); np.dot gives the same bits without."""
+    def transposed(node):
+        return isinstance(node, ast.Attribute) and node.attr == "T"
 
-    A GIL probe (a Python thread counting loop iterations while the main
-    thread repeats one product, one BLAS thread) counted about 9000
-    iterations/ms under `x.T @ r` at K = 10 and 50 against 23000-35000
-    under np.dot(x.T, r), and two threads' chunked `x.T @ r` ran 0.93-1.00x
-    as fast as one (README, "Notes on scope").  np.dot calls the same BLAS
-    routine with the GIL released, so the bits do not change.
-    """
     tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
     first = fn.__code__.co_firstlineno - 1
     held = [first + node.lineno for node in ast.walk(tree)
-            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
-            or isinstance(node, ast.Attribute) and node.attr in ("matmul", "vecdot")]
-    assert not held, (f"glm.py lines {held} ({fn.__name__}) use `@`, matmul or vecdot, "
-                      "which hold the GIL at these shapes; use np.dot")
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            and (transposed(node.left) or transposed(node.right))
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "matmul" and any(map(transposed, node.args))]
+    assert not held, (f"glm.py lines {held} ({fn.__name__}) multiply a transposed operand "
+                      "with `@` or matmul, which holds the GIL; use np.dot")
 
 
 # ---------------------------------------------------------------------------
