@@ -15,7 +15,7 @@ from parmcmc.instrumentation import counters
 
 N, K = 200_000, 50
 data, beta = synthetic_logistic(N, K, seed=1)
-ws = GlmWorkspace(data, beta)   # builds X.beta and the transposed copy eagerly
+ws = GlmWorkspace(data, beta)   # builds X.beta; shares the DesignMatrix's feature-major X
 
 
 def median_ms(fn, reps=15):

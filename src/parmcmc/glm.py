@@ -13,17 +13,17 @@ DesignMatrix; one evaluator runs them all:
                materialized in a region of its own before a second region
                runs the transcendental reduction over it.
 * PLF          partial loop fusion: each worker runs the whole map sequence
-               over its contiguous row block; a gradient cuts the block into
-               cache-sized chunks of at most _CHUNK_ELEMS elements of X
-               (chunked matvec -> fused transcendental -> chunked transposed
-               matvec), still merging once per worker.
+               (matvec -> fused transcendental -> transposed matvec) over its
+               contiguous row block, merging once per worker.
 * PLF_CHUNKED  PLF with each worker's block cut into exactly n_chunks
-               pieces, for a value as for a gradient: the explicit override
-               of the chunk rule.
+               pieces, for a value as for a gradient.
 * SHARDED      PLF under another name: one contiguous block per worker.
 
-No memory is placed per socket: every worker reads the caller's X, since a
-shard copy made by the calling thread would be first-touched onto its node.
+X is stored once, feature-major (DesignMatrix.xt, C-ordered (K, N)), so a
+row block is a Fortran-ordered view whose forward product X.beta streams K
+contiguous columns.  No memory is placed per socket: every worker reads the
+DesignMatrix's X, since a shard copy made by the calling thread would be
+first-touched onto its node.
 
 All strategies produce the same values up to floating-point reassociation
 (<= 1e-8 relative), and a fixed plan on fixed input is bit-deterministic
@@ -35,8 +35,8 @@ invariance").
 
 The differential-update fast path (GlmWorkspace / diff_loglike /
 commit_update) maintains X.beta so a single-coordinate change costs O(N)
-instead of O(N*K), reading only the touched column of an eagerly built
-transposed copy of X.
+instead of O(N*K), reading only the touched column of X, one contiguous row
+of DesignMatrix.xt.
 """
 
 from __future__ import annotations
@@ -83,16 +83,27 @@ class ExecPlan:
             raise ValueError(f"n_chunks must be >= 1, got {self.n_chunks}")
 
 
-class DesignMatrix:
-    """Row-major N x K observation matrix with a binary response vector.
+#: elements of X per block of DesignMatrix's transposed copy (256 KiB), so
+#: each block is still in cache while its K rows are written; at 200k x 10
+#: the copy took 1.8-2.3 ms, against 5.5-6.7 ms for np.ascontiguousarray(x.T)
+_COPY_ELEMS = 1 << 15
 
-    Immutable after construction and safely shareable read-only across
-    workers; the constructor copies and validates.
+
+class DesignMatrix:
+    """An N x K observation matrix, stored once feature-major, with a binary response vector.
+
+    `xt` is the read-only C-ordered (K, N) copy of X, whatever the input's
+    layout, and `x` its (N, K) transposed view, so a row block of `x` is
+    Fortran-ordered and its K columns are contiguous runs of `xt`.  The
+    constructor validates, copies y and makes exactly that one transposed
+    copy of X, in blocks of _COPY_ELEMS elements, so it never freezes or
+    shares the caller's arrays.  Immutable after construction and safely
+    shareable read-only across workers.
     """
 
     def __init__(self, x, y):
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        y = np.ascontiguousarray(y, dtype=np.float64)
+        x = np.asarray(x, dtype=np.float64)
+        y = np.array(y, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError(f"x must be 2-D, got shape {x.shape}")
         if x.shape[0] < 1 or x.shape[1] < 1:
@@ -103,18 +114,23 @@ class DesignMatrix:
             raise ValueError("x contains non-finite entries")
         if not np.isin(y, (0.0, 1.0)).all():
             raise ValueError("y entries must be exactly 0 or 1")
-        self.x = x
+        n, k = x.shape
+        self.xt = np.empty((k, n))
+        step = max(1, _COPY_ELEMS // k)
+        for a in range(0, n, step):
+            self.xt[:, a:a + step] = x[a:a + step].T
+        self.xt.setflags(write=False)
+        self.x = self.xt.T
         self.y = y
-        self.x.setflags(write=False)
         self.y.setflags(write=False)
 
     @property
     def n_rows(self) -> int:
-        return self.x.shape[0]
+        return self.xt.shape[1]
 
     @property
     def n_cols(self) -> int:
-        return self.x.shape[1]
+        return self.xt.shape[0]
 
 
 @dataclass
@@ -139,12 +155,6 @@ _SLOPE_FLOPS = 4     # halving, tanh, dot multiply-add
 #: K=10 on 2 vCPUs one worker beat two up to 40k-50k total rows, and two
 #: won from about 60k
 _DIFF_MIN_ROWS = 1 << 15
-
-#: elements of X per chunk of a PLF or SHARDED gradient (1 MiB), so the
-#: transposed matvec finds the chunk the matvec just read still in L2; 4x
-#: hb._BLOCK_ELEMS, as two workers take the GIL in turn for each chunk's
-#: Python steps (README, "Block sizes")
-_CHUNK_ELEMS = 1 << 17
 
 
 def _nll_sum(t: np.ndarray, y: np.ndarray) -> float | np.ndarray:
@@ -205,8 +215,10 @@ def _block_eval(x, y, beta, g, t=None) -> float:
 
     The residual y - sigmoid(t) is formed as (y - 1/2) - tanh(t/2) / 2, the
     identity _coord_slope uses.  `t` is the block's X.beta when SOM has
-    already materialized it.  The transposed product is np.dot because
-    `x.T @ r` holds the GIL (README, "Notes on scope").
+    already materialized it.  `x` is a Fortran-ordered row block, so `x @ beta`
+    streams its columns; the transposed product is np.einsum over the block's
+    (K, n) rows, because `x.T @ r`, np.matvec and np.vecmat hold the GIL and
+    np.dot copies the strided block (README, "Notes on scope").
     """
     if t is None:
         t = x @ beta
@@ -216,33 +228,21 @@ def _block_eval(x, y, beta, g, t=None) -> float:
         r *= -0.5
         r += y
         r -= 0.5
-        g += np.dot(x.T, r)
+        g += np.einsum("kn,n->k", x.T, r)
     return _nll_sum(t, y)
 
 
-def _chunk_count(n_rows: int, n_cols: int) -> int:
-    """Chunks of a PLF or SHARDED gradient's worker block: one per _CHUNK_ELEMS elements of X."""
-    return max(1, -(-n_rows * n_cols // _CHUNK_ELEMS))
-
-
-def _worker_blocks(data, plan: ExecPlan,
-                   grad: bool) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+def _worker_blocks(data, plan: ExecPlan) -> list[list[tuple[np.ndarray, np.ndarray]]]:
     """Each worker's list of (x, y) row blocks, all views of the data.
 
-    Each worker gets its parallel.partition block, which is cut again with
-    parallel.partition into chunks: PLF_CHUNKED's n_chunks, _chunk_count's
-    for a PLF or SHARDED gradient, and otherwise one.  A value reads X once,
-    so a chunk would buy it no reuse, and SOM is the naive baseline.  Both
-    cuts follow one rule, so a worker block, like a chunk, is empty wherever
-    the pieces outnumber the rows.
+    Each worker gets its parallel.partition block; PLF_CHUNKED cuts it again
+    with parallel.partition into n_chunks pieces, and every other strategy
+    keeps it whole.  Both cuts follow one rule, so a worker block, like a
+    chunk, is empty wherever the pieces outnumber the rows.
     """
-    def chunks(rows: int) -> int:
-        if plan.strategy is Strategy.PLF_CHUNKED:
-            return plan.n_chunks
-        return _chunk_count(rows, data.n_cols) if grad and plan.strategy is not Strategy.SOM else 1
-
+    chunks = plan.n_chunks if plan.strategy is Strategy.PLF_CHUNKED else 1
     return [[(data.x[start + a:start + b], data.y[start + a:start + b])
-             for a, b in parallel.partition(stop - start, chunks(stop - start))]
+             for a, b in parallel.partition(stop - start, chunks)]
             for start, stop in parallel.partition(data.n_rows, plan.workers)]
 
 
@@ -268,7 +268,7 @@ def _evaluate(data, beta, plan: ExecPlan, grad: bool) -> tuple[float, np.ndarray
     One region with private per-worker accumulators; SOM first spends a region
     of its own materializing X.beta.
     """
-    blocks = _worker_blocks(data, plan, grad)
+    blocks = _worker_blocks(data, plan)
     ts = [[None] * len(bl) for bl in blocks]
     if plan.strategy is Strategy.SOM:
         # sequence of maps: the full X.beta intermediate gets a region of its own
@@ -306,10 +306,10 @@ def loglike_grad(data: DesignMatrix, beta, plan: ExecPlan = ExecPlan()) -> GradR
 # ---------------------------------------------------------------------------
 
 class GlmWorkspace:
-    """Maintained X.beta plus the transposed copy backing column access.
+    """Maintained X.beta plus the feature-major X backing column access.
 
     `data` is the DesignMatrix it was built from, kept by reference (it is
-    immutable).  The transpose is built eagerly, and with it
+    immutable), and `xt` is its data.xt, shared, not copied.  Built with it is
     xt_dy = X'(y - 1/2), the fixed part of each coordinate's slope.
     Quiescence invariant: xbeta equals a fresh X.beta_current to 1e-10 per
     element whenever no commit is in flight; `validate` checks it.
@@ -321,15 +321,16 @@ class GlmWorkspace:
     """
 
     def __init__(self, data: DesignMatrix, beta0):
-        self._build(data, beta0, np.empty(data.n_rows), np.empty((data.n_cols, data.n_rows)))
+        self._build(data, beta0, np.empty(data.n_rows), data.xt)
 
     @classmethod
     def _in_storage(cls, data: DesignMatrix, beta0, xbeta: np.ndarray,
                     xt: np.ndarray) -> GlmWorkspace:
-        """A workspace built into caller-owned views: X.beta (n,) and the transpose (K, n).
+        """A workspace built into caller-owned views: X.beta (n,) and a copy of data.xt (K, n).
 
-        Each row xt[k] must be contiguous; the views are filled, never copied.
+        Each row xt[k] must be contiguous; the views are filled, never replaced.
         """
+        xt[:] = data.xt
         ws = cls.__new__(cls)
         ws._build(data, beta0, xbeta, xt)
         return ws
@@ -338,7 +339,6 @@ class GlmWorkspace:
         beta0 = _check_beta(beta0, data.n_cols)
         self.beta_current = beta0.copy()
         xbeta[:] = data.x @ beta0
-        xt[:] = data.x.T
         self.xbeta, self.xt = xbeta, xt
         self.xt_dy = xt @ (data.y - 0.5)
         self.data = data

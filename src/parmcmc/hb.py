@@ -184,8 +184,7 @@ _SWEEP_CFG = ChainConfig(n_iter=1, n_burnin=0)
 #: elements per block evaluation: a lockstep round evaluates its groups in
 #: blocks of at most this many elements (at least one group), so each
 #: temporary stays at 256 KiB; 20 groups x 20000 rows as one block ran 3-4x
-#: slower per element than blocks of 10 groups or fewer.  glm._CHUNK_ELEMS,
-#: the PLF gradient's chunk, is 4x this (README, "Block sizes")
+#: slower per element than blocks of 10 groups or fewer (README, "Block sizes")
 _BLOCK_ELEMS = 1 << 15
 
 

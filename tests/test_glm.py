@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from parmcmc import glm
-from parmcmc.glm import (_CHUNK_ELEMS, _DIFF_MIN_ROWS, DesignMatrix, ExecPlan, GlmWorkspace,
-                         Strategy, _chunk_count, _coord_slope, _nll_sum, _worker_blocks,
+from parmcmc.glm import (_DIFF_MIN_ROWS, DesignMatrix, ExecPlan, GlmWorkspace,
+                         Strategy, _coord_slope, _nll_sum, _worker_blocks,
                          commit_update, diff_loglike, load_design_csv, loglike, loglike_grad,
                          synthetic_logistic)
 from parmcmc.instrumentation import counters
@@ -140,32 +140,18 @@ def test_sharded_is_plf_bit_for_bit(workers):
     assert g1.f == g2.f and np.array_equal(g1.g, g2.g)
 
 
-def test_plf_gradient_chunks_by_the_cache_rule():
-    # 10009 rows over 2 workers: blocks of 5005 and 5004 rows, each 3 chunks
-    # at K=60; the worker cut and the first block's chunk cut leave a remainder
-    data, beta = random_instance(10009, 60, seed=9)
-    n_chunks = _chunk_count(5005, 60)
-    assert n_chunks == _chunk_count(5004, 60) == 3
-    chunked = loglike_grad(data, beta, ExecPlan(Strategy.PLF_CHUNKED, workers=2, n_chunks=n_chunks))
-    for strategy in (Strategy.PLF, Strategy.SHARDED):
+@pytest.mark.parametrize("n, k, seed", [(10009, 60, 9), (32768, 8, 4)], ids=["10009x60", "32768x8"])
+def test_only_plf_chunked_cuts_a_worker_block(n, k, seed):
+    # 10009 rows over 2 workers: blocks of 5005 and 5004 rows, and at three
+    # chunks the worker cut and the first block's chunk cut leave a remainder
+    data, beta = random_instance(n, k, seed=seed)
+    one = loglike_grad(data, beta, ExecPlan(Strategy.PLF_CHUNKED, workers=2, n_chunks=1))
+    for strategy in (Strategy.PLF, Strategy.SHARDED, Strategy.SOM):
+        assert [len(bl) for bl in _worker_blocks(data, ExecPlan(strategy, workers=2))] == [1, 1]
         res = loglike_grad(data, beta, ExecPlan(strategy, workers=2))
-        assert res.f == chunked.f and np.array_equal(res.g, chunked.g), strategy
-    # a value reads X once and is never cut; neither is SOM, the naive baseline
-    for strategy, grad in ((Strategy.PLF, False), (Strategy.SOM, True)):
-        blocks = _worker_blocks(data, ExecPlan(strategy, workers=2), grad)
-        assert [len(bl) for bl in blocks] == [1, 1], strategy
-    som = loglike_grad(data, beta, ExecPlan(Strategy.SOM, workers=2))
-    one = loglike_grad(data, beta, ExecPlan(Strategy.PLF_CHUNKED, workers=2, n_chunks=1))
-    assert som.f == one.f and np.array_equal(som.g, one.g)
-
-
-def test_worker_block_within_one_chunk_is_not_cut():
-    rows = _CHUNK_ELEMS // 8
-    assert _chunk_count(rows, 8) == 1 and _chunk_count(rows + 1, 8) == 2
-    data, beta = random_instance(2 * rows, 8, seed=4)
-    res = loglike_grad(data, beta, ExecPlan(Strategy.PLF, workers=2))
-    one = loglike_grad(data, beta, ExecPlan(Strategy.PLF_CHUNKED, workers=2, n_chunks=1))
-    assert res.f == one.f and np.array_equal(res.g, one.g)
+        assert res.f == one.f and np.array_equal(res.g, one.g), strategy
+    blocks = _worker_blocks(data, ExecPlan(Strategy.PLF_CHUNKED, workers=2, n_chunks=3))
+    assert [len(bl) for bl in blocks] == [3, 3]
 
 
 @pytest.mark.parametrize("separated", [False, True], ids=["mixed", "separated"])
@@ -400,25 +386,78 @@ def test_merge_count_equals_workers_not_rows():
 
 @pytest.mark.parametrize("fn", [glm._block_eval, glm._evaluate], ids=lambda f: f.__name__)
 def test_region_task_products_release_the_gil(fn):
-    """No region task runs `@` or matmul on a transposed operand, which holds
-    the GIL (README, "Notes on scope"); np.dot gives the same bits without."""
+    """No region task runs `@` or matmul on a transposed operand, or np.matvec,
+    np.vecmat or np.vecdot, all of which hold the GIL (README, "Notes on
+    scope"); the gradient's X'r is np.einsum("kn,n->k", x.T, r), which
+    releases it without copying the block."""
     def transposed(node):
         return isinstance(node, ast.Attribute) and node.attr == "T"
+
+    def called(node, names):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in names)
 
     tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
     first = fn.__code__.co_firstlineno - 1
     held = [first + node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
             and (transposed(node.left) or transposed(node.right))
-            or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "matmul" and any(map(transposed, node.args))]
+            or called(node, {"matmul"}) and any(map(transposed, node.args))]
     assert not held, (f"glm.py lines {held} ({fn.__name__}) multiply a transposed operand "
-                      "with `@` or matmul, which holds the GIL; use np.dot")
+                      "with `@` or matmul, which holds the GIL; use np.einsum")
+    vector = [first + node.lineno for node in ast.walk(tree)
+              if called(node, {"matvec", "vecmat", "vecdot"})]
+    assert not vector, (f"glm.py lines {vector} ({fn.__name__}) call np.matvec, np.vecmat "
+                        "or np.vecdot, which hold the GIL; use np.einsum")
 
 
 # ---------------------------------------------------------------------------
 # validation and input formats
 # ---------------------------------------------------------------------------
+
+def test_design_matrix_stores_x_once_feature_major():
+    gen = np.random.default_rng(21)
+    x = gen.standard_normal((3000, 7))
+    y = (gen.random(3000) < 0.5).astype(float)
+    tracemalloc.start()
+    try:
+        data = DesignMatrix(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.nbytes <= peak < 1.5 * x.nbytes, (peak, x.nbytes)   # one transposed copy
+    assert data.xt.shape == (7, 3000) and data.xt.flags.c_contiguous
+    assert not data.xt.flags.writeable
+    assert data.x.shape == (3000, 7) and not data.x.flags.writeable
+    assert np.shares_memory(data.x, data.xt) and np.array_equal(data.x, x)
+    assert x.flags.writeable and y.flags.writeable    # copied, never frozen
+    assert np.shares_memory(GlmWorkspace(data, np.zeros(7)).xt, data.xt)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_design_matrix_normalizes_its_input_layout(workers):
+    gen = np.random.default_rng(22)
+    x = gen.standard_normal((301, 6)) * 1.5
+    y = (gen.random(301) < 0.5).astype(float)
+    beta = gen.normal(0.0, 1.0, 6)
+    wide = np.zeros((6, 602))
+    wide[:, ::2] = x.T
+    layouts = {"C": np.ascontiguousarray(x), "F": np.asfortranarray(x),
+               "transposed view": wide[:, ::2].T}
+    results = {}
+    for name, xin in layouts.items():
+        data = DesignMatrix(xin, y)
+        out = []
+        for strategy in ALL_STRATEGIES:
+            plan = ExecPlan(strategy, workers=workers, n_chunks=3)
+            res = loglike_grad(data, beta, plan)
+            out += [loglike(data, beta, plan), res.f, *res.g]
+        ws = GlmWorkspace(data, beta)
+        out += [diff_loglike(ws, k, 0.25 * (k - 2), workers) for k in range(6)]
+        results[name] = np.array(out)
+    for name, got in results.items():
+        assert np.array_equal(got, results["C"]), name
+
 
 def test_design_matrix_validation():
     with pytest.raises(ValueError):
