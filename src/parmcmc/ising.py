@@ -3,13 +3,15 @@
 Nodes at (i+j) even and odd form a 2-coloring of the 4-neighbor lattice:
 all same-color nodes are conditionally independent given the other color,
 so a Gibbs sweep is two data-parallel half-updates.  Each color's int8
-spins and float biases are packed into contiguous arrays, and its neighbor
-table is a (4, n) index array, one contiguous row per direction, pointing
-into the *other* color's packed spins (one padding slot holding spin 0
-stands in for missing boundary neighbors).  A color's neighbor sums are
-then four contiguous int8 gathers added into one output, and the
-half-update is branch-free vector code (a worker split of it measured no
-gain).
+spins and float biases are packed, in row-major order, into the prefix of
+a (ceil(H/2), W) pair-row array whose row p holds the color's sites in
+grid rows 2p and 2p + 1; every row pair holds exactly W sites of each
+color, so this is a plain reshape for any H and W, and an odd height
+leaves a zero tail that stands in for the missing neighbors below the
+last row.  A color's neighbor sums are then eight int8 slice adds of the
+other color's halves, packing and unpacking the grid are four strided
+copies, and the half-update is branch-free vector code (a worker split of
+it measured no gain).
 
 Sampling convention: a node flips to +1 with probability
 
@@ -31,7 +33,9 @@ trajectory is a pure function of the stream.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -105,14 +109,25 @@ def conditional_prob(z):
 class ColorPartition:
     """Checkerboard split with per-color packed arrays and probability tables.
 
-    colors[c] are the flat (row-major) node indices of color c in scan
-    order, which is also the packed order; a node's packed index within
-    its color is its flat index // 2.  packed_nbr[c] is a contiguous
-    (4, n_c) array: row d holds, for every node of color c, the index of
-    its neighbor in direction d (up, down, left, right) within color 1-c's
-    *padded* int8 spin array, whose final slot is a permanent 0 (the
-    boundary sentinel).  Each direction's row is contiguous so that
-    neighbor_spin_sum gathers it with one sequential take.
+    Color c holds the sites with (i + j) % 2 == c, packed in row-major
+    order: the sweep assigns deviates in that order, and packed_s[c] and
+    packed_b[c] hold the spins and biases in it.  Every grid row pair
+    (2p, 2p + 1) holds exactly W sites of each color: m_c of row 2p
+    (m_0 = ceil(W/2), m_1 = floor(W/2)) followed by W - m_c of row 2p + 1.
+    So each packed array is the row-major prefix of a (ceil(H/2), W)
+    pair-row array whose row p is that pair's sites, for any H and W.
+    When H is odd the last pair has no row 2p + 1, and that half of the
+    last pair row is a zero tail: it stands in for the missing neighbors
+    below the last grid row and is never assigned a deviate.
+
+    In the pair-row view a site's neighbors of the other color are whole
+    column ranges of that color's halves (see neighbor_spin_sum), and
+    packing or unpacking the grid is four strided copies, so no sweep
+    indexes through a table.  colors[c] (the flat node indices in packed
+    order) and packed_nbr[c] (a (4, n_c) table of each node's up, down,
+    left and right neighbor within color 1-c's spins followed by one 0
+    sentinel slot, which missing neighbors point at) are built on first
+    read only, for the benchmark's working-set figure and as test oracles.
 
     A node's neighbor sum n is an integer in [-4, 4], so its conditional
     probability is one of 9 values per distinct bias.  table[c] holds them
@@ -120,29 +135,49 @@ class ColorPartition:
     and base[c] gives each node the index of its bias's n = 0 entry, so
     the node's probability is table[c][base[c] + n].  Each entry is
     conditional_prob(b + w * n), the same float operations as evaluating
-    the node directly.  A lattice builds its own partition, which keeps a
-    flat view of the lattice's spin grid and no reference to the lattice.
+    the node directly.  A lattice builds its own partition, which keeps
+    views of the lattice's spin grid and no reference to the lattice.
     """
 
     def __init__(self, lat: IsingLattice):
-        h, w = lat.height, lat.width
+        h, w = self._shape = lat.s.shape
+        pairs = (h + 1) // 2
+        self._n = ((h * w + 1) // 2, h * w // 2)
+        self._m = ((w + 1) // 2, w // 2)
+        self._rows = [np.zeros((pairs, w), dtype=np.int8) for _ in (0, 1)]
+        self.packed_s = [self._rows[c].reshape(-1)[: self._n[c]] for c in (0, 1)]
+        # (packed, grid) view pairs: the grid is C-ordered, so these are views of it
+        self._halves = [pair for c in (0, 1) for pair in _halves(self._rows[c], lat.s, c)]
+        self.packed_b, self.table, self.base = [], [], []
+        nsum = np.arange(-4.0, 5.0)
+        for c in (0, 1):
+            b_rows = np.zeros((pairs, w))
+            for packed, sites in _halves(b_rows, lat.b, c):
+                packed[...] = sites
+            self.packed_b.append(b_rows.reshape(-1)[: self._n[c]])
+            ub, inv = np.unique(self.packed_b[c], return_inverse=True)
+            self.table.append(conditional_prob(ub[:, None] + lat.w * nsum).ravel())
+            self.base.append(inv * 9 + 4)
+        self.pack_from()
+
+    @cached_property
+    def colors(self) -> list[np.ndarray]:
+        h, w = self._shape
         n = h * w
-        self._flat_s = lat.s.ravel()  # a view: the lattice's grid is C-ordered
         # nodes 2k and 2k + 1 differ in color, so color c's k-th node is one of them
         first = 2 * np.arange((n + 1) // 2)
-        self.colors = []
+        colors = []
         for c in (0, 1):
             first_c = first[: (n + 1 - c) // 2]
             i, j = np.divmod(first_c, w)
-            self.colors.append(first_c + ((i + j + c) & 1))
+            colors.append(first_c + ((i + j + c) & 1))
+        return colors
 
-        flat_b = lat.b.ravel()
-        self.packed_b = [flat_b[self.colors[c]] for c in (0, 1)]
-        # padded spin arrays: slot n_c is the sentinel and stays 0
-        self._s_padded = [np.zeros(self.colors[c].size + 1, dtype=np.int8) for c in (0, 1)]
-        self.packed_nbr = []
-        self.table, self.base = [], []
-        nsum = np.arange(-4.0, 5.0)
+    @cached_property
+    def packed_nbr(self) -> list[np.ndarray]:
+        h, w = self._shape
+        n = h * w
+        tables = []
         for c in (0, 1):
             f = self.colors[c]
             j = f % w
@@ -150,32 +185,61 @@ class ColorPartition:
             for d, (step, off_grid) in enumerate(((-w, f < w), (w, f >= n - w),
                                                   (-1, j == 0), (1, j == w - 1))):
                 nbr[d] = (f + step) // 2
-                nbr[d][off_grid] = self.colors[1 - c].size  # the sentinel slot
-            self.packed_nbr.append(nbr)
-            ub, inv = np.unique(self.packed_b[c], return_inverse=True)
-            self.table.append(conditional_prob(ub[:, None] + lat.w * nsum).ravel())
-            self.base.append(inv * 9 + 4)
-        self.pack_from()
-
-    @property
-    def packed_s(self) -> list[np.ndarray]:
-        return [self._s_padded[c][:-1] for c in (0, 1)]
+                nbr[d][off_grid] = self._n[1 - c]  # the sentinel slot
+            tables.append(nbr)
+        return tables
 
     def pack_from(self) -> None:
-        for c in (0, 1):
-            self._s_padded[c][:-1] = self._flat_s[self.colors[c]]
+        for packed, sites in self._halves:
+            packed[...] = sites
 
     def unpack_into(self) -> None:
-        for c in (0, 1):
-            self._flat_s[self.colors[c]] = self._s_padded[c][:-1]
+        for packed, sites in self._halves:
+            sites[...] = packed
 
     def neighbor_spin_sum(self, c: int) -> np.ndarray:
-        """Exact int8 neighbor sums in [-4, 4] for color c (fresh gather)."""
-        s, nbr = self._s_padded[1 - c], self.packed_nbr[c]
-        out = s.take(nbr[0])
-        for d in (1, 2, 3):
-            out += s.take(nbr[d])
-        return out
+        """Exact int8 neighbor sums in [-4, 4] for color c, in packed order.
+
+        Eight slice adds over pair-row views.  Color c's row-2p sites
+        (columns c, c + 2, ...) have their up and down neighbors in the
+        other color's row-2p+1 half, at the same column index one pair row
+        up and in the same pair row; their left and right neighbors are the
+        other color's row-2p half shifted by c - 1 and c columns.  The
+        row-2p+1 sites mirror this: up and down in the other color's row-2p
+        half (same pair row, one pair row down), left and right in its
+        row-2p+1 half shifted by -c and 1 - c.  Neighbors off the grid are
+        columns or rows the slices leave out, or the other color's zero
+        tail.  The result is a fresh array.
+        """
+        m = self._m[c]
+        other = self._rows[1 - c]
+        out = np.empty(other.shape, dtype=np.int8)
+        a, b = out[:, :m], out[:, m:]                                   # rows 2p, 2p + 1
+        other_a, other_b = other[:, : self._m[1 - c]], other[:, self._m[1 - c]:]
+        a[...] = other_b
+        a[1:] += other_b[:-1]
+        _add_shifted(a, other_a, c - 1)
+        _add_shifted(a, other_a, c)
+        b[...] = other_a
+        b[:-1] += other_a[1:]
+        _add_shifted(b, other_b, -c)
+        _add_shifted(b, other_b, 1 - c)
+        return out.reshape(-1)[: self._n[c]]
+
+
+def _halves(rows: np.ndarray, grid: np.ndarray, c: int):
+    """(pair-row, grid) view pairs of color c's sites in rows 2p and in rows 2p + 1."""
+    h, w = grid.shape
+    m = (w + 1 - c) // 2
+    return ((rows[:, :m], grid[0::2, c::2]),
+            (rows[: h // 2, m:], grid[1::2, 1 - c::2]))
+
+
+def _add_shifted(dst: np.ndarray, src: np.ndarray, shift: int) -> None:
+    """dst[:, k] += src[:, k + shift] for every k where both columns exist."""
+    lo, hi = max(0, -shift), min(dst.shape[1], src.shape[1] - shift)
+    if lo < hi:
+        dst[:, lo:hi] += src[:, lo + shift: hi + shift]
 
 
 def color_lattice(lat: IsingLattice) -> ColorPartition:
@@ -238,6 +302,9 @@ def denoise(noisy_image, w: float = 1.0, bias_scale: float = 2.0, sweeps: int = 
 # binary image I/O and synthesis
 # ---------------------------------------------------------------------------
 
+_PBM_SPACE = b" \t\r\n"
+
+
 def read_pbm(path) -> np.ndarray:
     """Read a P1 (ASCII) or P4 (raw) PBM as a (H, W) uint8 {0,1} array.
 
@@ -248,24 +315,29 @@ def read_pbm(path) -> np.ndarray:
     tokens, offset = _pbm_header_tokens(raw)
     if len(tokens) < 3:
         raise ValueError(f"{path}: truncated PBM header")
-    magic, w, h = tokens[0], int(tokens[1]), int(tokens[2])
+    magic = tokens[0]
+    if magic not in (b"P1", b"P4"):
+        raise ValueError(f"{path}: unsupported magic {magic!r} (want P1 or P4)")
+    if not (tokens[1].isdigit() and tokens[2].isdigit()):
+        raise ValueError(f"{path}: bad dimensions {tokens[1]!r} x {tokens[2]!r}")
+    w, h = int(tokens[1]), int(tokens[2])
     if w < 1 or h < 1:
         raise ValueError(f"{path}: bad dimensions {w}x{h}")
     if magic == b"P1":
-        body = raw[offset:].decode("ascii", "ignore")
-        lines = [line.split("#", 1)[0] for line in body.splitlines()]
-        bits = [c for c in "".join(lines) if c in "01"]
-        if len(bits) < w * h:
-            raise ValueError(f"{path}: expected {w * h} pixels, found {len(bits)}")
-        return np.array(bits[: w * h], dtype=np.uint8).reshape(h, w)
-    if magic == b"P4":
-        row_bytes = (w + 7) // 8
-        body = raw[offset: offset + h * row_bytes]
-        if len(body) < h * row_bytes:
-            raise ValueError(f"{path}: expected {h * row_bytes} data bytes, found {len(body)}")
-        rows = np.frombuffer(body, dtype=np.uint8).reshape(h, row_bytes)
-        return np.unpackbits(rows, axis=1)[:, :w]
-    raise ValueError(f"{path}: unsupported magic {magic!r} (want P1 or P4)")
+        body = re.sub(rb"#[^\r\n]*", b"", raw[offset:])
+        bad = body.translate(None, b"01" + _PBM_SPACE)
+        if bad:
+            raise ValueError(f"{path}: invalid character {bad[:1]!r} in P1 raster")
+        bits = np.frombuffer(body.translate(None, _PBM_SPACE), dtype=np.uint8) - ord("0")
+        if bits.size < w * h:
+            raise ValueError(f"{path}: expected {w * h} pixels, found {bits.size}")
+        return bits[: w * h].reshape(h, w)
+    row_bytes = (w + 7) // 8
+    body = raw[offset: offset + h * row_bytes]
+    if len(body) < h * row_bytes:
+        raise ValueError(f"{path}: expected {h * row_bytes} data bytes, found {len(body)}")
+    rows = np.frombuffer(body, dtype=np.uint8).reshape(h, row_bytes)
+    return np.unpackbits(rows, axis=1)[:, :w]
 
 
 def _pbm_header_tokens(raw: bytes) -> tuple[list[bytes], int]:
@@ -277,14 +349,14 @@ def _pbm_header_tokens(raw: bytes) -> tuple[list[bytes], int]:
     tokens: list[bytes] = []
     i = 0
     while len(tokens) < 3 and i < len(raw):
-        if raw[i] in b" \t\r\n":
+        if raw[i] in _PBM_SPACE:
             i += 1
         elif raw[i] in b"#":
             while i < len(raw) and raw[i] not in b"\r\n":
                 i += 1
         else:
             j = i
-            while j < len(raw) and raw[j] not in b" \t\r\n":
+            while j < len(raw) and raw[j] not in _PBM_SPACE:
                 j += 1
             tokens.append(raw[i:j])
             i = j

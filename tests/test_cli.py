@@ -259,7 +259,7 @@ def test_ising_denoise_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_ising_denoise_unreadable_image(tmp_path):
+def test_ising_denoise_unreadable_image(tmp_path, capsys):
     missing = tmp_path / "nope.pbm"
     assert cli.main(["ising-denoise", "--in", str(missing),
                      "--out", str(tmp_path / "o.pbm")]) == 2
@@ -267,6 +267,15 @@ def test_ising_denoise_unreadable_image(tmp_path):
     garbage.write_bytes(b"GIF89a....")
     assert cli.main(["ising-denoise", "--in", str(garbage),
                      "--out", str(tmp_path / "o.pbm")]) == 2
+    capsys.readouterr()
+    for text, message in (("P1\n2 1\n1 2 0\n", "bad.pbm: invalid character b'2' in P1 raster"),
+                          ("P1\n2x 1\n1 0\n", "bad.pbm: bad dimensions b'2x' x b'1'")):
+        bad = tmp_path / "bad.pbm"
+        bad.write_text(text)
+        assert cli.main(["ising-denoise", "--in", str(bad),
+                         "--out", str(tmp_path / "o.pbm")]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "o.pbm").exists()
 
 
 # ---------------------------------------------------------------------------

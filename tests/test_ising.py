@@ -1,5 +1,7 @@
 import gc
 import math
+import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -81,7 +83,7 @@ def test_no_same_color_edges(shape):
     np.testing.assert_array_equal(joined, np.arange(lat.s.size))
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (3, 4), (6, 5)])
+@pytest.mark.parametrize("shape", [(1, 1), (3, 4), (6, 5), (4, 6), (5, 7), (1, 2), (2, 1)])
 def test_pack_unpack_round_trip(shape):
     lat = random_lattice(*shape, seed=9)
     original = lat.s.copy()
@@ -91,9 +93,10 @@ def test_pack_unpack_round_trip(shape):
     np.testing.assert_array_equal(lat.s, original)
 
 
-# single-row, single-column and odd lattices put the boundary sentinel in
-# every direction's row of the neighbor table
-@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (7, 1), (5, 6), (6, 5)])
+# every (H mod 2, W mod 2) pair, single rows and single columns give each
+# slice add its boundary columns and rows, and odd heights the zero tail
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (7, 1), (5, 6), (6, 5),
+                                   (4, 6), (5, 7), (1, 2), (2, 1)])
 def test_neighbor_sums_match_naive(shape):
     h, w = shape
     lat = random_lattice(h, w, seed=12)
@@ -105,6 +108,35 @@ def test_neighbor_sums_match_naive(shape):
             i, j = divmod(int(flat), w)
             expected = naive_z(lat.s, np.zeros((h, w)), 1.0, i, j)
             assert sums[pk] == expected
+
+
+@pytest.mark.parametrize("shape", [(512, 512), (511, 513)])
+def test_neighbor_sums_match_the_table_gather_at_workload_size(shape):
+    # packed_nbr points each node at its four neighbors in the other color's
+    # spins followed by one 0 sentinel slot: four takes through it are a
+    # vectorized oracle for the slice adds
+    part = random_lattice(*shape, seed=15).partition
+    for c in (0, 1):
+        padded = np.append(part.packed_s[1 - c], np.int8(0))
+        expected = sum(padded.take(row).astype(np.int64) for row in part.packed_nbr[c])
+        np.testing.assert_array_equal(part.neighbor_spin_sum(c), expected)
+
+
+def test_a_512_lattice_builds_and_sweeps_without_a_neighbor_table():
+    # the build keeps s (0.25 MiB), b, packed_b and base (2 MiB each) and
+    # peaks near 14 MiB with its temporaries; two (4, n/2) int64 neighbor
+    # tables would add 8 MiB, and their construction temporaries more
+    img = flip_noise(synthetic_binary_image(512, 512), 0.1, seed=2)
+    buf = DeviateBuffer(BufferKind.UNIFORM01, seed=4)
+    buf.take(1)  # the buffer's first refill is not the lattice's
+    tracemalloc.start()
+    try:
+        lat = IsingLattice.from_image(img, w=1.0, bias_scale=2.0)
+        gibbs_sweep(lat, buf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +432,19 @@ def test_pbm_reads_comments_and_rejects_garbage(tmp_path):
     trunc.write_text("P1\n4 4\n0 1\n")
     with pytest.raises(ValueError):
         read_pbm(trunc)
+    # a stray raster character would shift every later pixel
+    for name, text, char in (("stray.pbm", "P1\n2 1\n1 2 0\n", "2"),
+                             ("letter.pbm", "P1\n2 2\n1 0\nx 0 1\n", "x"),
+                             ("utf8.pbm", "P1\n1 1\n\u00e9 1\n", "\\xc3")):
+        stray = tmp_path / name
+        stray.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{name}: invalid character b'{char}'")):
+            read_pbm(stray)
+    for dims in ("2x 1", "2 1.0"):
+        dim = tmp_path / "dims.pbm"
+        dim.write_text(f"P1\n{dims}\n1 0\n")
+        with pytest.raises(ValueError, match="dims.pbm: bad dimensions"):
+            read_pbm(dim)
 
 
 def test_flip_noise_exact_count_and_involution():
