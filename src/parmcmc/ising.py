@@ -10,8 +10,14 @@ color, so this is a plain reshape for any H and W, and an odd height
 leaves a zero tail that stands in for the missing neighbors below the
 last row.  A color's neighbor sums are then eight int8 slice adds of the
 other color's halves, packing and unpacking the grid are four strided
-copies, and the half-update is branch-free vector code (a worker split of
-it measured no gain).
+copies, and the half-update is branch-free vector code.  A worker split
+of one color measured no gain, and neither did filling a color's deviates
+while its own neighbor sums were summed: the lookup must wait for the
+fill.  What pays is filling ahead: while the caller sums, looks up and
+compares color c, a region-pool thread fills the deviates of the color
+after it, across sweeps too, so a large lattice's sweep costs about its
+Philox fills.  Colors below _LOOKAHEAD_MIN_SITES (2^14) sites, where the
+thread hand-off costs more than the overlap saves, fill inline.
 
 Sampling convention: a node flips to +1 with probability
 
@@ -28,7 +34,8 @@ P(s) ~ exp((b.s + w * sum_edges s_i s_j)/2).
 
 Uniform deviates are pre-assigned to nodes by packed index *before* a
 color updates, so the intra-color update order is immaterial and the
-trajectory is a pure function of the stream.
+trajectory is a pure function of the stream.  Filling ahead changes no
+deviate: the look-ahead block is the stream's next segment.
 """
 
 from __future__ import annotations
@@ -71,7 +78,7 @@ class IsingLattice:
             raise ValueError(f"spin grid must be non-empty 2-D, got shape {s.shape}")
         if b.shape != s.shape:
             raise ValueError(f"bias shape {b.shape} != spin shape {s.shape}")
-        if not np.isin(s, (-1, 1)).all():
+        if not ((s == -1) | (s == 1)).all():  # np.isin took 20x as long
             raise ValueError("spins must be -1 or +1")
         if not np.isfinite(b).all() or not np.isfinite(self.w):
             raise ValueError("bias and coupling must be finite")
@@ -95,7 +102,7 @@ class IsingLattice:
         image01 = np.asarray(image01)
         if image01.size == 0:
             raise ValueError("empty image")
-        if not np.isin(image01, (0, 1)).all():
+        if not ((image01 == 0) | (image01 == 1)).all():
             raise ValueError("image entries must be 0 or 1")
         spins = 2 * image01.astype(np.int8) - 1
         return cls(spins, bias_scale * spins.astype(np.float64), w)
@@ -155,7 +162,7 @@ class ColorPartition:
             for packed, sites in _halves(b_rows, lat.b, c):
                 packed[...] = sites
             self.packed_b.append(b_rows.reshape(-1)[: self._n[c]])
-            ub, inv = np.unique(self.packed_b[c], return_inverse=True)
+            ub, inv = _distinct(self.packed_b[c])
             self.table.append(conditional_prob(ub[:, None] + lat.w * nsum).ravel())
             self.base.append(inv * 9 + 4)
         self.pack_from()
@@ -227,6 +234,32 @@ class ColorPartition:
         return out.reshape(-1)[: self._n[c]]
 
 
+#: most distinct biases whose inverse is built by comparisons, one pass each:
+#: at 131072 sites (2-vCPU x86_64, numpy 2.4) a pass took 0.13 ms and
+#: np.unique's sorting inverse 2.9 ms at two distinct values, 5.9 ms at all
+#: distinct
+_FEW_BIASES = 16
+
+
+def _distinct(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(b, return_inverse=True), without its sort for few distinct values.
+
+    The distinct values are found by hash; equal values, such as 0.0 and
+    -0.0, are one.  With at most _FEW_BIASES of them, an entry's index is
+    the number of distinct values above the smallest that it reaches.
+    """
+    ub = np.sort(np.unique_values(b))
+    keep = np.ones(ub.size, dtype=bool)
+    keep[1:] = ub[1:] != ub[:-1]
+    ub = ub[keep]
+    if ub.size > _FEW_BIASES:
+        return np.unique(b, return_inverse=True)
+    inv = np.zeros(b.size, dtype=np.intp)
+    for v in ub[1:]:
+        inv += b >= v
+    return ub, inv
+
+
 def _halves(rows: np.ndarray, grid: np.ndarray, c: int):
     """(pair-row, grid) view pairs of color c's sites in rows 2p and in rows 2p + 1."""
     h, w = grid.shape
@@ -247,6 +280,13 @@ def color_lattice(lat: IsingLattice) -> ColorPartition:
     return lat.partition
 
 
+#: smallest color whose deviates are filled ahead.  Paired medians of 31
+#: alternating runs, look-ahead against inline sweep time (2-vCPU x86_64
+#: guest, numpy 2.4): 0.60x at 8192 sites a color, 0.82x at 12800, 1.09x
+#: at 16380, 1.37x at 65522; one hand-off costs 25-55 us there
+_LOOKAHEAD_MIN_SITES = 1 << 14
+
+
 def gibbs_sweep(lat: IsingLattice, rng_buffer: DeviateBuffer) -> None:
     """One full Gibbs sweep: update color 0 against frozen color 1, then color 1.
 
@@ -256,12 +296,20 @@ def gibbs_sweep(lat: IsingLattice, rng_buffer: DeviateBuffer) -> None:
     sum.  The partition's packed spins are the chain's state and the
     lattice grid is an output, overwritten on return: spins edited between
     sweeps are lost unless `lat.partition.pack_from()` is called first.
+
+    Once a color has taken its deviates, the other color's, if it has at
+    least _LOOKAHEAD_MIN_SITES sites, start filling on the region pool
+    (`DeviateBuffer.prefetch`), so the sweep may return with a fill
+    pending; the buffer's next read joins it.
     """
     part = lat.partition
     for c in (0, 1):
-        idx = part.base[c] + part.neighbor_spin_sum(c)
-        u = rng_buffer.take(idx.size)
         s = part.packed_s[c]
+        u = rng_buffer.take(s.size)
+        n_next = part.packed_s[1 - c].size
+        if n_next >= _LOOKAHEAD_MIN_SITES:
+            rng_buffer.prefetch(n_next)
+        idx = part.base[c] + part.neighbor_spin_sum(c)
         np.less(u, part.table[c].take(idx), out=s.view(np.bool_))
         s *= 2  # {0, 1} -> {-1, +1}
         s -= 1
@@ -278,23 +326,26 @@ def denoise(noisy_image, w: float = 1.0, bias_scale: float = 2.0, sweeps: int = 
     is returned unchanged; otherwise burnin must leave at least one sweep.
     `trace_out`, if given, receives the per-sweep flip fraction.
     """
-    noisy_image = np.asarray(noisy_image)
-    lat = IsingLattice.from_image(noisy_image, w=w, bias_scale=bias_scale)
     if sweeps < 0 or burnin < 0:
         raise ValueError("sweeps and burnin must be >= 0")
+    if sweeps and burnin >= sweeps:
+        raise ValueError(f"burnin must be < sweeps, got burnin={burnin}, sweeps={sweeps}")
+    noisy_image = np.asarray(noisy_image)
+    lat = IsingLattice.from_image(noisy_image, w=w, bias_scale=bias_scale)
     if sweeps == 0:
         return noisy_image.astype(np.uint8).copy()
-    if burnin >= sweeps:
-        raise ValueError(f"burnin must be < sweeps, got burnin={burnin}, sweeps={sweeps}")
     buf = DeviateBuffer(BufferKind.UNIFORM01, seed=seed)
     acc = np.zeros(lat.s.shape, dtype=np.int32)  # exact spin sums
-    for t in range(sweeps):
-        before = lat.s.copy() if trace_out is not None else None
-        gibbs_sweep(lat, buf)
-        if trace_out is not None:
-            trace_out.append(float(np.count_nonzero(lat.s != before)) / lat.s.size)
-        if t >= burnin:
-            acc += lat.s
+    try:
+        for t in range(sweeps):
+            before = lat.s.copy() if trace_out is not None else None
+            gibbs_sweep(lat, buf)
+            if trace_out is not None:
+                trace_out.append(float(np.count_nonzero(lat.s != before)) / lat.s.size)
+            if t >= burnin:
+                acc += lat.s
+    finally:
+        buf.join()  # the last sweep's look-ahead block goes unread
     return (acc >= 0).astype(np.uint8)
 
 

@@ -20,6 +20,11 @@ all: its task runs on the caller's thread without marking it, so a region
 the task opens still fans out to the pool.  One pool serves every region;
 it grows by replacement to the largest region seen, less the caller's
 task, and is shut down at exit.
+
+`submit` hands that pool one task without a region and returns its
+future, so the caller can keep working and join later.  From inside a
+region task it runs the task inline, as a nested region does: a region
+task on a saturated pool would otherwise wait on itself.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Callable, Sequence, TypeVar
 
 from .instrumentation import counters
 
-__all__ = ["partition", "run_region"]
+__all__ = ["partition", "run_region", "submit"]
 
 T = TypeVar("T")
 
@@ -110,3 +115,20 @@ def run_region(tasks: Sequence[Callable[[], T]]) -> list[T]:
         for f in futures:
             f.exception()  # blocks until done without raising, so every task finishes
     return [head] + [f.result() for f in futures]
+
+
+def submit(task: Callable[[], T]) -> Future:
+    """Start one task on the pool and return its future.
+
+    Inside a region task the task runs inline and the future comes back
+    done, holding its result or its exception.  This is no region: it
+    counts none and its task is not split.
+    """
+    if not getattr(_tls, "inside_region", False):
+        return _submit([task])[0]
+    done: Future = Future()
+    try:
+        done.set_result(task())
+    except Exception as exc:
+        done.set_exception(exc)
+    return done

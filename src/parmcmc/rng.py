@@ -14,6 +14,16 @@ refill needs an odd count the spare value is carried into the next refill,
 which is what keeps the consumed sequence invariant under any capacity,
 including capacity 1.
 
+A buffer can also fill its next block ahead, on the region pool
+(`prefetch`), while the caller works: at most one such fill at a time,
+joined by the next read of the generator, so the stream is the same as
+without it and a fill's error reaches the caller at that read.  A take()
+past the buffer's block returns a look-ahead block of its size as it is,
+and generates a large remainder straight into its result: at 131072
+deviates a take is then a join, not a copy through capacity-sized blocks.
+Ising sweeps fill each color's deviates ahead this way; `next()`'s path
+within a block does no more work for it.
+
 The one-at-a-time samplers below are the per-call baseline for the batch
 benchmark.  They run on the identical stream contract, so a sampler fed
 from buffers and one fed from per-call sources produce identical draws.
@@ -23,13 +33,15 @@ from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from . import perf
+from . import parallel, perf
 
 __all__ = [
     "BufferKind", "RngDrainError", "DeviateBuffer", "OneAtATimeUniform", "OneAtATimeNormal",
@@ -76,6 +88,9 @@ class DeviateBuffer:
     seed, owner : stream identity
         owner is a tuple of ints spawning an independent substream, e.g.
         (group_index,) for per-group chains.
+
+    `generated` counts every deviate put into a block or straight into a
+    take() result, `consumed` every deviate handed out.
     """
 
     def __init__(self, kind: BufferKind, capacity: int = 8192, seed: int = 0,
@@ -85,62 +100,129 @@ class DeviateBuffer:
         self.kind = kind
         self.capacity = int(capacity)
         self.data = np.empty(self.capacity)
-        self.cursor = self.capacity  # exhausted; first next() refills
+        self.cursor = self._end = self.capacity  # exhausted; first next() refills
         self.refills = 0
+        self.generated = 0
         self.consumed = 0
         self._gen = _make_generator(seed, owner)
         self._carry: float | None = None
+        self._ahead: np.ndarray | None = None  # the stream's block after data
+        self._pending: Future | None = None    # the fill of _ahead, until joined
 
-    def refill(self) -> None:
-        """Fill data[0:capacity] with the next block of the base stream."""
+    def refill(self, out: np.ndarray | None = None) -> None:
+        """Generate the next deviates of the base stream.
+
+        Without `out`, data[0:capacity] receives the next block and becomes
+        the buffer's block; whatever was left unread, a look-ahead block
+        included, is skipped.  With `out` (non-empty), the next out.size
+        deviates go into it and the buffer's block is left alone: that is
+        how take() fills its result and prefetch() its look-ahead block.
+        Each call counts one refill.
+        """
+        own = out is None
+        if own:
+            self.join()
+            self._ahead = None
+            if self.data.size != self.capacity:
+                self.data = np.empty(self.capacity)
+            out = self.data
         if self.kind is BufferKind.UNIFORM01:
-            self._gen.random(out=self.data)
+            self._gen.random(out=out)
         else:
             pos = 0
             if self._carry is not None:
-                self.data[0] = self._carry
+                out[0] = self._carry
                 self._carry = None
                 pos = 1
-            remaining = self.capacity - pos
+            remaining = out.size - pos
             if remaining > 0:
                 n_pairs = (remaining + 1) // 2
                 block = _box_muller_pairs(self._gen, n_pairs)
-                self.data[pos:] = block[:remaining]
+                out[pos:] = block[:remaining]
                 if 2 * n_pairs > remaining:
                     self._carry = float(block[remaining])
-        self.cursor = 0
+        if own:
+            self.cursor, self._end = 0, self.capacity
         self.refills += 1
+        self.generated += out.size
+
+    def prefetch(self, n: int) -> None:
+        """Start generating the stream's next n deviates on the region pool.
+
+        They form the block after the buffer's own, filled by `refill`
+        while the caller works.  Every later read of the generator joins
+        the fill first, and a take(n) that finds the buffer's block drained
+        returns the look-ahead block as it is.  A buffer holds at most one
+        look-ahead block: while one is queued, or for n < 1, this does
+        nothing.
+        """
+        if self._ahead is not None or n < 1:
+            return
+        self._ahead = np.empty(n)
+        self._pending = parallel.submit(partial(self.refill, self._ahead))
+
+    def join(self) -> None:
+        """Wait for the look-ahead fill, if one is running.
+
+        A fill that raised re-raises here, with its own type, and its block
+        is dropped; the stream after a failed fill is undefined.
+        """
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            try:
+                pending.result()
+            except BaseException:
+                self._ahead = None
+                raise
+
+    def _advance(self) -> None:
+        """Make the stream's next block the buffer's: the look-ahead block, or a refill."""
+        self.join()
+        if self._ahead is None:
+            self.refill()
+        else:
+            self.data, self._ahead = self._ahead, None
+            self.cursor, self._end = 0, self.data.size
 
     def next(self) -> float:
         """Return the next deviate of the stream, refilling as needed."""
-        if self.cursor == self.capacity:
-            self.refill()
+        if self.cursor == self._end:
+            self._advance()
         v = self.data[self.cursor]
         self.cursor += 1
         self.consumed += 1
         return float(v)
 
     def take(self, n: int) -> np.ndarray:
-        """Return the next n deviates as an array (same order as n next() calls)."""
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            if self.cursor == self.capacity:
-                self.refill()
-            m = min(n - filled, self.capacity - self.cursor)
-            out[filled:filled + m] = self.data[self.cursor:self.cursor + m]
-            self.cursor += m
-            filled += m
+        """Return the next n deviates as an array (same order as n next() calls).
+
+        Past the buffer's block, a look-ahead block of exactly n is the
+        result itself, and n - filled >= capacity deviates still to come
+        are generated straight into the result: neither is copied.
+        """
+        if self._pending is not None:
+            self.join()
+        if self.cursor == self._end and self._ahead is not None and self._ahead.size == n:
+            out, self._ahead = self._ahead, None
+        else:
+            out = np.empty(n)
+            filled = 0
+            while filled < n:
+                if self.cursor == self._end:
+                    if self._ahead is None and n - filled >= self.capacity:
+                        self.refill(out[filled:])
+                        break
+                    self._advance()
+                m = min(n - filled, self._end - self.cursor)
+                out[filled:filled + m] = self.data[self.cursor:self.cursor + m]
+                self.cursor += m
+                filled += m
         self.consumed += n
         return out
 
     @property
-    def generated(self) -> int:
-        return self.refills * self.capacity
-
-    @property
     def waste_fraction(self) -> float:
-        """(generated - consumed) / generated; unconsumed tail of the last block."""
+        """(generated - consumed) / generated: the unread rest of the blocks."""
         if self.generated == 0:
             return 0.0
         return (self.generated - self.consumed) / self.generated

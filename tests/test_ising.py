@@ -1,12 +1,17 @@
 import gc
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from parmcmc import ising, parallel
 from parmcmc.ising import (IsingLattice, color_lattice, conditional_prob,
                            denoise, flip_noise, gibbs_sweep, read_pbm,
                            synthetic_binary_image, write_pbm)
@@ -241,6 +246,41 @@ def test_table_holds_nine_entries_per_distinct_bias(case):
         assert [t.size for t in part.table] == [18, 18]
 
 
+def _mixed_zero_lattice():
+    gen = np.random.default_rng(15)
+    b = np.where(gen.random((9, 11)) < 0.5, 0.0, -0.0)
+    b[::4, ::3] = 1.25
+    return IsingLattice(random_lattice(9, 11, seed=15).s, b, 0.9)
+
+
+BIAS_CASES = {
+    "from_image": lambda: IsingLattice.from_image(
+        flip_noise(synthetic_binary_image(64, 48), 0.1, seed=3), w=1.0, bias_scale=2.0),
+    "random": lambda: random_lattice(40, 37, seed=16),
+    "five random values": lambda: IsingLattice(
+        random_lattice(33, 20, seed=17).s,
+        np.random.default_rng(17).normal(size=5)[np.random.default_rng(18).integers(5, size=(33, 20))],
+        -0.4),
+    "0.0 and -0.0": _mixed_zero_lattice,
+}
+
+
+@pytest.mark.parametrize("case", BIAS_CASES)
+def test_bias_table_matches_the_sorting_unique(case):
+    # the table and base indices must be the ones np.unique's sorted
+    # distinct values and inverse give
+    lat = BIAS_CASES[case]()
+    part = lat.partition
+    nsum = np.arange(-4.0, 5.0)
+    for c in (0, 1):
+        ub, inv = np.unique(part.packed_b[c], return_inverse=True)
+        np.testing.assert_array_equal(part.table[c],
+                                      conditional_prob(ub[:, None] + lat.w * nsum).ravel())
+        np.testing.assert_array_equal(part.base[c], inv * 9 + 4)
+    if case == "0.0 and -0.0":
+        assert [t.size for t in part.table] == [18, 18]
+
+
 def test_lattice_fields_cannot_be_reassigned():
     # the partition's table and packed biases are built once from b and w,
     # so the lattice forbids replacing them, its spin grid or its partition
@@ -347,6 +387,93 @@ def test_small_lattice_total_variation():
     assert tv < 0.05
 
 
+# look-ahead: colors of at least _LOOKAHEAD_MIN_SITES sites get their
+# deviates filled on the region pool while the caller updates the other
+# color; an odd-sized lattice has colors of different sizes
+LOOKAHEAD_SHAPE = (257, 255)
+
+# five sweeps of a look-ahead lattice in task 1 of a 2-task region, where
+# the fill must run inline, and five outside any region
+SWEEPS_IN_A_REGION_TASK = textwrap.dedent("""
+    import numpy as np
+    from parmcmc.ising import IsingLattice, gibbs_sweep
+    from parmcmc.parallel import run_region
+    from parmcmc.rng import BufferKind, DeviateBuffer
+
+    def swept():
+        gen = np.random.default_rng(3)
+        lat = IsingLattice(gen.choice([-1, 1], size=(257, 255)).astype(np.int8),
+                           gen.normal(0.0, 0.7, size=(257, 255)), 0.8)
+        buf = DeviateBuffer(BufferKind.UNIFORM01, seed=11)
+        for _ in range(5):
+            gibbs_sweep(lat, buf)
+        return lat.s, buf.next()
+
+    (s, u), = run_region([lambda: None, swept])[1:]
+    s_ref, u_ref = swept()
+    print(np.array_equal(s, s_ref), u == u_ref)
+""")
+
+
+def _count_submits(monkeypatch):
+    futures = []
+    submit = parallel.submit
+
+    def counted(task):
+        futures.append(submit(task))
+        return futures[-1]
+
+    monkeypatch.setattr(parallel, "submit", counted)
+    return futures
+
+
+def test_look_ahead_sweeps_match_the_per_node_formula(monkeypatch):
+    lat = random_lattice(*LOOKAHEAD_SHAPE, seed=3)
+    n0, n1 = (s.size for s in lat.partition.packed_s)
+    assert n0 != n1 and min(n0, n1) >= ising._LOOKAHEAD_MIN_SITES
+    futures = _count_submits(monkeypatch)
+    expected = lat.s.copy()
+    buf = DeviateBuffer(BufferKind.UNIFORM01, seed=11)
+    oracle_buf = DeviateBuffer(BufferKind.UNIFORM01, seed=11)
+    for _ in range(6):
+        gibbs_sweep(lat, buf)
+        expected = vector_sweep(expected, lat.b, lat.w, oracle_buf.take(lat.s.size))
+        np.testing.assert_array_equal(lat.s, expected)
+    assert len(futures) == 12  # every color's deviates were filled ahead
+    assert buf.next() == oracle_buf.next()
+    assert buf.consumed == oracle_buf.consumed
+
+
+def test_a_sweep_in_a_region_task_fills_inline():
+    # on a pool thread the fill runs inline; submitted to the saturated
+    # pool it would wait on itself, so the sweep runs in a child process
+    src = os.path.dirname(os.path.dirname(os.path.abspath(parallel.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SWEEPS_IN_A_REGION_TASK], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"]
+
+
+def test_denoise_returns_with_no_fill_pending(monkeypatch):
+    futures = _count_submits(monkeypatch)
+    buffers = []
+    sweep = ising.gibbs_sweep
+
+    def seen(lat, buf):
+        buffers.append(buf)
+        sweep(lat, buf)
+
+    monkeypatch.setattr(ising, "gibbs_sweep", seen)
+    noisy = flip_noise(synthetic_binary_image(*LOOKAHEAD_SHAPE), 0.1, seed=3)
+    denoise(noisy, sweeps=3, burnin=1, seed=2)
+    assert len(futures) == 6 and all(f.done() for f in futures)
+    assert buffers[-1]._pending is None
+    # the last look-ahead block was generated and is left unread
+    assert buffers[-1].generated - buffers[-1].consumed == (noisy.size + 1) // 2
+
+
 # ---------------------------------------------------------------------------
 # denoising pipeline
 # ---------------------------------------------------------------------------
@@ -404,6 +531,20 @@ def test_denoise_rejects_bad_input():
     for sweeps, burnin in ((20, 20), (5, 30)):
         with pytest.raises(ValueError, match="burnin"):
             denoise(np.array([[0, 1]]), sweeps=sweeps, burnin=burnin)
+
+
+def test_denoise_checks_its_counts_before_building_the_lattice(monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("the lattice was built")
+
+    monkeypatch.setattr(IsingLattice, "from_image", build)
+    image = np.ones((512, 512), dtype=np.uint8)
+    with pytest.raises(ValueError, match="sweeps and burnin must be >= 0"):
+        denoise(image, sweeps=-1)
+    with pytest.raises(ValueError, match="sweeps and burnin must be >= 0"):
+        denoise(image, burnin=-1)
+    with pytest.raises(ValueError, match="burnin must be < sweeps, got burnin=30, sweeps=5"):
+        denoise(image, sweeps=5, burnin=30)
 
 
 # ---------------------------------------------------------------------------

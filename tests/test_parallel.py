@@ -152,3 +152,22 @@ def test_region_threads_stay_bounded_by_the_largest_region():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) <= 6, proc.stdout
+
+
+def test_submit_runs_one_task_on_the_pool():
+    future = parallel.submit(lambda: threading.current_thread().name)
+    assert future.result(timeout=30).startswith("region")
+
+
+def test_submit_inside_a_region_task_runs_inline():
+    # a task on a pool thread must not queue behind itself
+    def task():
+        here = threading.current_thread().name
+        ran = parallel.submit(lambda: threading.current_thread().name)
+        failed = parallel.submit(lambda: 1 / 0)
+        assert ran.done() and failed.done()
+        return here, ran.result(), type(failed.exception())
+
+    for here, ran, error in parallel.run_region([task, task]):
+        assert ran == here
+        assert error is ZeroDivisionError

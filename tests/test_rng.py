@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -44,6 +47,112 @@ def test_exhaustion_triggers_exactly_one_refill():
     assert buf.refills == 1 and buf.cursor == 8
     buf.next()
     assert buf.refills == 2 and buf.cursor == 1
+
+
+def test_a_drained_take_fills_its_result_straight():
+    buf = DeviateBuffer(BufferKind.UNIFORM01, capacity=8, seed=4)
+    u = buf.take(29)
+    base = np.random.Generator(np.random.Philox(np.random.SeedSequence(4))).random(29)
+    np.testing.assert_array_equal(u, base)
+    assert buf.refills == 1 and buf.generated == 29 and buf.waste_fraction == 0.0
+
+
+class _FillFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("kind", [BufferKind.UNIFORM01, BufferKind.STD_NORMAL])
+def test_look_ahead_blocks_leave_the_stream_unchanged(kind):
+    # look-ahead blocks shorter than, equal to and longer than the reads
+    # that reach them, mixed with next() and takes across block ends
+    ref = DeviateBuffer(kind, capacity=16, seed=12)
+    buf = DeviateBuffer(kind, capacity=16, seed=12)
+    got, want = [], []
+    for ahead, n in ((40, 40), (5, 17), (33, 3), (1, 1), (7, 0), (16, 50)):
+        buf.prefetch(ahead)
+        buf.prefetch(99)  # one look-ahead block at a time: ignored
+        got += list(buf.take(n)) + [buf.next()]
+        want += list(ref.take(n)) + [ref.next()]
+    assert got == want
+    assert buf.consumed == ref.consumed
+    assert 0.0 <= buf.waste_fraction < 1.0
+    assert buf.generated == buf.consumed + (buf._end - buf.cursor) + (
+        0 if buf._ahead is None else buf._ahead.size)
+
+
+@pytest.mark.parametrize("kind", [BufferKind.UNIFORM01, BufferKind.STD_NORMAL])
+def test_next_on_a_drained_block_joins_the_pending_fill(kind):
+    # a block long enough that the fill is still running at the first read
+    ref = DeviateBuffer(kind, capacity=16, seed=13)
+    buf = DeviateBuffer(kind, capacity=16, seed=13)
+    buf.prefetch(1 << 19)
+    assert [buf.next() for _ in range(3)] == [ref.next() for _ in range(3)]
+    assert buf._pending is None and buf.data.size == 1 << 19
+
+
+def test_a_look_ahead_block_of_the_taken_size_is_returned_as_filled():
+    buf = DeviateBuffer(BufferKind.UNIFORM01, capacity=8, seed=6)
+    buf.prefetch(20)
+    block = buf._ahead
+    assert buf.take(20) is block
+    assert buf.refills == 1 and buf.generated == buf.consumed == 20
+
+
+def test_refill_joins_and_skips_the_look_ahead_block():
+    # the block is long enough that its fill is still running at refill()
+    n = 1 << 19
+    buf = DeviateBuffer(BufferKind.UNIFORM01, capacity=4, seed=8)
+    buf.prefetch(n)
+    buf.refill()
+    base = np.random.Generator(np.random.Philox(np.random.SeedSequence(8))).random(n + 4)
+    np.testing.assert_array_equal(buf.data, base[n:])
+    assert buf.generated == n + 4 and buf.refills == 2
+
+
+def test_a_failed_fill_raises_its_own_type_at_the_next_take(monkeypatch):
+    def failing(self, out=None):
+        raise _FillFailed("no deviates")
+
+    buf = DeviateBuffer(BufferKind.UNIFORM01, capacity=8, seed=3)
+    monkeypatch.setattr(DeviateBuffer, "refill", failing)
+    buf.prefetch(100)
+    with pytest.raises(_FillFailed, match="no deviates"):
+        buf.take(100)
+    assert buf._pending is None and buf._ahead is None
+
+
+def test_look_ahead_streams_and_counts_hold_under_thread_contention():
+    # more consumer threads than cores, each with its own buffer, all
+    # prefetching through the one pool under a tiny switch interval: a
+    # read that passed a pending fill, or a lost count update, shows here
+    results = {}
+
+    def consume(seed):
+        buf = DeviateBuffer(BufferKind.UNIFORM01, capacity=16, seed=seed)
+        got = []
+        for k in range(300):
+            buf.prefetch(1 + (7 * k) % 40)
+            got.extend(buf.take(1 + (5 * k) % 45))
+        buf.join()
+        unread = buf._end - buf.cursor + (0 if buf._ahead is None else buf._ahead.size)
+        results[seed] = (got, buf.generated - buf.consumed - unread)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=consume, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for seed, (got, miscount) in results.items():
+        ref = DeviateBuffer(BufferKind.UNIFORM01, capacity=16, seed=seed)
+        assert got == list(ref.take(len(got)))
+        assert miscount == 0
+    assert len(results) == 4
 
 
 def test_owner_spawns_independent_streams():
