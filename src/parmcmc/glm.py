@@ -43,11 +43,11 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import expit
 
 from . import parallel
 from .instrumentation import counters
@@ -459,6 +459,28 @@ def load_design_csv(path) -> DesignMatrix:
     return DesignMatrix(arr[:, :-1], y)
 
 
+#: largest z whose libm exp(z) is finite; math.exp raises OverflowError above it
+_EXP_MAX = math.log(sys.float_info.max)
+
+
+def _sigmoid(z) -> np.ndarray | np.float64:
+    """1 / (1 + e), e = exp(-z) by C libm's exp, element by element; float64.
+
+    This is scipy.special.expit's formula and libm's exp, so the bits are
+    expit's; numpy's own exp differs from libm in the last few bits of about
+    2% of values.  Past _EXP_MAX, where math.exp would raise, e is inf, so
+    z -> -inf gives 0.0 as expit does; nan stays nan.  A scalar or 0-d z
+    gives a scalar, any other z an array of its shape.  About 70 ns an element.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    neg = -z.ravel()
+    over = neg > _EXP_MAX
+    neg[over] = 0.0
+    e = np.fromiter(map(math.exp, neg.tolist()), np.float64, neg.size)
+    e[over] = np.inf
+    return 1.0 / (1.0 + e.reshape(z.shape))
+
+
 def synthetic_logistic(n_rows: int, n_cols: int, seed: int = 0, beta=None):
     """Seeded synthetic instance: X ~ N(0,1), y ~ Bernoulli(sigmoid(X beta)).
 
@@ -470,5 +492,5 @@ def synthetic_logistic(n_rows: int, n_cols: int, seed: int = 0, beta=None):
         beta = gen.normal(0.0, 1.0, n_cols)
     else:
         beta = _check_beta(beta, n_cols)
-    y = (gen.random(n_rows) < expit(x @ beta)).astype(np.float64)
+    y = (gen.random(n_rows) < _sigmoid(x @ beta)).astype(np.float64)
     return DesignMatrix(x, y), np.asarray(beta, dtype=np.float64)

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from parmcmc import glm
 from parmcmc.glm import (_DIFF_MIN_ROWS, DesignMatrix, ExecPlan, GlmWorkspace,
@@ -512,3 +513,29 @@ def test_csv_diagnostics(tmp_path):
     empty.write_text("\n")
     with pytest.raises(ValueError, match="no data rows"):
         load_design_csv(empty)
+
+
+# ---------------------------------------------------------------------------
+# synthetic data
+# ---------------------------------------------------------------------------
+
+def expit_redraw(n, k, seed, beta=None):
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal((n, k))
+    beta = gen.normal(0.0, 1.0, k) if beta is None else np.asarray(beta, dtype=np.float64)
+    return x, (gen.random(n) < expit(x @ beta)).astype(np.float64), beta
+
+
+@pytest.mark.parametrize("n, k, seeds, beta", [
+    (5000, 5, range(50), None),
+    (200_000, 10, range(3), None),
+    (5000, 5, range(50, 60), [0.8, -0.5, 0.3, 0.0, -1.0]),
+    # margins past +-709.78, where exp(-t) overflows
+    (5000, 5, range(60, 65), [400.0, -300.0, 200.0, 0.0, -500.0]),
+])
+def test_synthetic_logistic_draws_y_as_expit_does(n, k, seeds, beta):
+    for seed in seeds:
+        data, beta_true = synthetic_logistic(n, k, seed=seed, beta=beta)
+        x, y, b = expit_redraw(n, k, seed, beta)
+        assert np.array_equal(data.x, x) and np.array_equal(beta_true, b)
+        assert data.y.dtype == y.dtype and np.array_equal(data.y, y), seed

@@ -10,8 +10,10 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from parmcmc import ising, parallel
+from parmcmc.glm import _EXP_MAX
 from parmcmc.ising import (IsingLattice, color_lattice, conditional_prob,
                            denoise, flip_noise, gibbs_sweep, read_pbm,
                            synthetic_binary_image, write_pbm)
@@ -53,6 +55,37 @@ def test_conditional_prob_matches_enumerated_joint():
         expected = exact_conditional_from_joint(joint, 2, 3, state, i, j)
         got = conditional_prob(naive_z(s, lat.b, lat.w, i, j))
         assert abs(got - expected) < 1e-12
+
+
+def _same_as_expit(z):
+    got, want = conditional_prob(z), expit(z)
+    assert type(got) is type(want) and got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True), z
+
+
+EDGES = [-0.0, 0.0, 709.78, -709.78, 709.79, -709.79, -745.2, 800.0, -800.0,
+         np.inf, -np.inf, np.nan, _EXP_MAX, -_EXP_MAX,
+         math.nextafter(_EXP_MAX, math.inf), -math.nextafter(_EXP_MAX, math.inf)]
+
+
+def test_conditional_prob_is_expit_bit_for_bit():
+    # libm's exp is finite up to _EXP_MAX and overflows past it, where
+    # math.exp raises and the library's guard takes over
+    assert math.isfinite(math.exp(_EXP_MAX))
+    with pytest.raises(OverflowError):
+        math.exp(math.nextafter(_EXP_MAX, math.inf))
+    for z in EDGES:
+        _same_as_expit(z)
+        _same_as_expit(np.array(z))
+    edges = np.array(EDGES)
+    _same_as_expit(edges)
+    _same_as_expit(edges.reshape(4, 4))
+    _same_as_expit(edges.reshape(4, 4).T)
+    _same_as_expit(np.empty(0))
+    _same_as_expit(np.empty((0, 3)))
+    gen = np.random.default_rng(27)
+    _same_as_expit(np.concatenate([3.0 * gen.standard_normal(50_000),
+                                   gen.uniform(-745.0, 745.0, 50_000)]).reshape(200, 500))
 
 
 # ---------------------------------------------------------------------------

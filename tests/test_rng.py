@@ -1,10 +1,12 @@
 import sys
 import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from parmcmc import parallel
 from parmcmc.rng import (BenchDist, BenchMode, BufferKind, DeviateBuffer,
                          GammaParams, OneAtATimeNormal, OneAtATimeUniform,
                          dirichlet_sample, gamma_sample, rng_bench,
@@ -107,6 +109,41 @@ def test_refill_joins_and_skips_the_look_ahead_block():
     base = np.random.Generator(np.random.Philox(np.random.SeedSequence(8))).random(n + 4)
     np.testing.assert_array_equal(buf.data, base[n:])
     assert buf.generated == n + 4 and buf.refills == 2
+
+
+class _HeldFill(Future):
+    """A future whose task runs only when its result is first asked for."""
+
+    def __init__(self, task):
+        super().__init__()
+        self._task = task
+
+    def result(self, timeout=None):
+        if self._task is not None:
+            task, self._task = self._task, None
+            self.set_result(task())
+        return super().result(timeout)
+
+
+def test_refill_runs_the_held_look_ahead_fill_before_its_own(monkeypatch):
+    # the look-ahead fill cannot run until refill() joins it, so a refill
+    # that drew its block first would take the look-ahead block's deviates
+    held = []
+
+    def submit(task):
+        held.append(_HeldFill(task))
+        return held[-1]
+
+    monkeypatch.setattr(parallel, "submit", submit)
+    buf = DeviateBuffer(BufferKind.UNIFORM01, capacity=4, seed=9)
+    buf.next()
+    buf.prefetch(6)
+    assert len(held) == 1 and not held[0].done()
+    buf.refill()
+    assert held[0].done() and buf._pending is None and buf._ahead is None
+    base = np.random.Generator(np.random.Philox(np.random.SeedSequence(9))).random(14)
+    np.testing.assert_array_equal(buf.take(4), base[10:])
+    assert buf.generated == 14 and buf.refills == 3
 
 
 def test_a_failed_fill_raises_its_own_type_at_the_next_take(monkeypatch):
