@@ -72,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="column counts, comma separated")
     b.add_argument("--strategies", **_enum_list(glm.Strategy))
     b.add_argument("--workers", type=ints)
-    b.add_argument("--chunks", type=ints, help="plf_chunked's chunk counts, comma separated")
+    b.add_argument("--chunks", type=ints,
+                   help="chunks per worker block, crossed with every strategy, comma separated")
     b.add_argument("--op", type=str.lower, choices=("loglike", "grad"))
     b.add_argument("--evals", type=int)
     b.add_argument("--reps", type=int)

@@ -5,19 +5,17 @@ The same two reductions,
     L(beta)   = -sum_n [ (1 - y_n) t_n + log(1 + exp(-t_n)) ],  t_n = x_n . beta
     g(beta)   = X' r,    r_n = y_n - sigmoid(t_n) = (y_n - 1/2) - tanh(t_n / 2) / 2,
 
-are offered under interchangeable execution strategies.  A strategy is only
-a block layout, the (x, y) row blocks each worker walks, all views of one
-DesignMatrix; one evaluator runs them all:
+are offered under interchangeable execution plans.  A plan is a block
+layout, the (x, y) row blocks each worker walks, all views of one
+DesignMatrix: one contiguous block per worker, cut into n_chunks pieces
+whatever the strategy.  One evaluator runs every plan:
 
-* SOM          sequence of maps: a full-length X.beta intermediate is
-               materialized in a region of its own before a second region
-               runs the transcendental reduction over it.
-* PLF          partial loop fusion: each worker runs the whole map sequence
-               (matvec -> fused transcendental -> transposed matvec) over its
-               contiguous row block, merging once per worker.
-* PLF_CHUNKED  PLF with each worker's block cut into exactly n_chunks
-               pieces, for a value as for a gradient.
-* SHARDED      PLF under another name: one contiguous block per worker.
+* SOM  sequence of maps: a full-length X.beta intermediate is materialized
+       in a region of its own before a second region runs the
+       transcendental reduction over it.
+* PLF  partial loop fusion: each worker runs the whole map sequence
+       (matvec -> fused transcendental -> transposed matvec) over its
+       blocks, merging once per worker.
 
 X is stored once, feature-major (DesignMatrix.xt, C-ordered (K, N)), so a
 row block is a Fortran-ordered view whose forward product X.beta streams K
@@ -60,7 +58,10 @@ __all__ = [
 
 
 class Strategy(Enum):
-    """A block layout of the full evaluation; SHARDED is PLF under another name."""
+    """SOM gives X.beta a region of its own; PLF_CHUNKED and SHARDED are PLF by other names.
+
+    Those two are kept only as names for the benchmark's cells.
+    """
 
     SOM = "som"
     PLF = "plf"
@@ -70,13 +71,15 @@ class Strategy(Enum):
 
 @dataclass(frozen=True)
 class ExecPlan:
-    """How an evaluation maps onto workers (and chunks, for PLF_CHUNKED)."""
+    """How an evaluation maps onto workers, and each worker's block onto n_chunks pieces."""
 
     strategy: Strategy = Strategy.PLF
     workers: int = 1
     n_chunks: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.strategy, Strategy):
+            raise TypeError(f"strategy must be a Strategy, got {self.strategy!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.n_chunks < 1:
@@ -235,14 +238,12 @@ def _block_eval(x, y, beta, g, t=None) -> float:
 def _worker_blocks(data, plan: ExecPlan) -> list[list[tuple[np.ndarray, np.ndarray]]]:
     """Each worker's list of (x, y) row blocks, all views of the data.
 
-    Each worker gets its parallel.partition block; PLF_CHUNKED cuts it again
-    with parallel.partition into n_chunks pieces, and every other strategy
-    keeps it whole.  Both cuts follow one rule, so a worker block, like a
-    chunk, is empty wherever the pieces outnumber the rows.
+    Each worker gets its parallel.partition block, cut again by that rule
+    into plan.n_chunks pieces whatever the strategy, so a worker block, like
+    a chunk, is empty wherever the pieces outnumber the rows.
     """
-    chunks = plan.n_chunks if plan.strategy is Strategy.PLF_CHUNKED else 1
     return [[(data.x[start + a:start + b], data.y[start + a:start + b])
-             for a, b in parallel.partition(stop - start, chunks)]
+             for a, b in parallel.partition(stop - start, plan.n_chunks)]
             for start, stop in parallel.partition(data.n_rows, plan.workers)]
 
 

@@ -72,6 +72,8 @@ class MappingPolicy:
     neval: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.mode, MappingMode):
+            raise TypeError(f"mode must be a MappingMode, got {self.mode!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.neval < 1:

@@ -96,7 +96,7 @@ class GridConfig:
     n_cols: list[int] = field(default_factory=lambda: [10])
     strategies: list[Strategy] = field(default_factory=lambda: [Strategy.PLF])
     workers: list[int] = field(default_factory=lambda: [1])
-    chunks: list[int] = field(default_factory=lambda: [1])  # plf_chunked's chunk counts
+    chunks: list[int] = field(default_factory=lambda: [1])  # per worker block, any strategy
     op: str = "loglike"          # or "grad"
     evals: int = 5               # evaluations per repetition; beta refreshed each
     reps: int = 5                # repetitions; the median is reported
@@ -119,12 +119,11 @@ def _cell_seed(seed: int, *parts: int) -> int:
 
 
 def run_grid(cfg: GridConfig) -> tuple[list[BenchRecord], list[tuple[str, str]]]:
-    """Run every (strategy, workers, N, K) cell; continue past failures.
+    """Run every (strategy, workers, chunks, N, K) cell; continue past failures.
 
-    plf_chunked runs one cell per chunk count, the other strategies one at
-    n_chunks=1.  Returns (records, failures); a failure is (cell label,
-    error message).  The same (N, K) cell data and beta refresh sequence
-    are shared across strategy and worker axes so CPRs are comparable.
+    chunks counts the pieces per worker block, crossed with every strategy.
+    Returns (records, failures); a failure is (cell label, error message).
+    The cells of one (N, K) share its data and beta refresh sequence, so CPRs compare.
     """
     records: list[BenchRecord] = []
     failures: list[tuple[str, str]] = []
@@ -132,15 +131,14 @@ def run_grid(cfg: GridConfig) -> tuple[list[BenchRecord], list[tuple[str, str]]]
         data, _ = synthetic_logistic(n, k, seed=_cell_seed(cfg.seed, n, k))
         betas = np.random.default_rng(_cell_seed(cfg.seed, n, k, 1)).normal(
             0.0, 0.5, (cfg.evals, k))
-        for strategy, workers in product(cfg.strategies, cfg.workers):
+        for strategy, workers, chunks in product(cfg.strategies, cfg.workers, cfg.chunks):
             label = f"{cfg.op}/{strategy.value}"
-            for chunks in cfg.chunks if strategy is Strategy.PLF_CHUNKED else [1]:
-                try:
-                    records.append(_run_cell(cfg, data, betas, label, strategy,
-                                             workers, chunks, n, k))
-                except Exception as exc:  # record and continue with the grid
-                    failures.append((f"{label} N={n} K={k} workers={workers} chunks={chunks}",
-                                     str(exc)))
+            try:
+                records.append(_run_cell(cfg, data, betas, label, strategy,
+                                         workers, chunks, n, k))
+            except Exception as exc:  # record and continue with the grid
+                failures.append((f"{label} N={n} K={k} workers={workers} chunks={chunks}",
+                                 str(exc)))
     return records, failures
 
 

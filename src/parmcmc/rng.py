@@ -95,6 +95,8 @@ class DeviateBuffer:
 
     def __init__(self, kind: BufferKind, capacity: int = 8192, seed: int = 0,
                  owner: Sequence[int] = ()):
+        if not isinstance(kind, BufferKind):
+            raise TypeError(f"kind must be a BufferKind, got {kind!r}")
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.kind = kind
@@ -365,6 +367,10 @@ def rng_bench(dist: BenchDist, mode: BenchMode, n: int, seed: int = 0) -> RngBen
     read at call time.  Dirichlet draws are K=100 vectors and the per-sample
     normalization is per Gamma component generated.
     """
+    if not isinstance(dist, BenchDist):
+        raise TypeError(f"dist must be a BenchDist, got {dist!r}")
+    if not isinstance(mode, BenchMode):
+        raise TypeError(f"mode must be a BenchMode, got {mode!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     waste = 0.0

@@ -142,17 +142,24 @@ def test_sharded_is_plf_bit_for_bit(workers):
 
 
 @pytest.mark.parametrize("n, k, seed", [(10009, 60, 9), (32768, 8, 4)], ids=["10009x60", "32768x8"])
-def test_only_plf_chunked_cuts_a_worker_block(n, k, seed):
+def test_n_chunks_cuts_every_strategys_worker_blocks(n, k, seed):
     # 10009 rows over 2 workers: blocks of 5005 and 5004 rows, and at three
     # chunks the worker cut and the first block's chunk cut leave a remainder
     data, beta = random_instance(n, k, seed=seed)
     one = loglike_grad(data, beta, ExecPlan(Strategy.PLF_CHUNKED, workers=2, n_chunks=1))
+    three = ExecPlan(Strategy.PLF_CHUNKED, workers=2, n_chunks=3)
+    f3, g3 = loglike(data, beta, three), loglike_grad(data, beta, three)
     for strategy in (Strategy.PLF, Strategy.SHARDED, Strategy.SOM):
         assert [len(bl) for bl in _worker_blocks(data, ExecPlan(strategy, workers=2))] == [1, 1]
         res = loglike_grad(data, beta, ExecPlan(strategy, workers=2))
         assert res.f == one.f and np.array_equal(res.g, one.g), strategy
-    blocks = _worker_blocks(data, ExecPlan(Strategy.PLF_CHUNKED, workers=2, n_chunks=3))
-    assert [len(bl) for bl in blocks] == [3, 3]
+        plan = ExecPlan(strategy, workers=2, n_chunks=3)
+        assert loglike(data, beta, plan) == f3, strategy
+        res = loglike_grad(data, beta, plan)
+        assert res.f == g3.f and np.array_equal(res.g, g3.g), strategy
+    for strategy in ALL_STRATEGIES:
+        blocks = _worker_blocks(data, ExecPlan(strategy, workers=2, n_chunks=3))
+        assert [len(bl) for bl in blocks] == [3, 3], strategy
 
 
 @pytest.mark.parametrize("separated", [False, True], ids=["mixed", "separated"])
@@ -484,6 +491,13 @@ def test_plan_validation():
         ExecPlan(workers=0)
     with pytest.raises(ValueError):
         ExecPlan(n_chunks=0)
+
+
+def test_plan_rejects_a_strategy_name():
+    # a plain string must raise, not fall through to the PLF path
+    for name in ("som", "plf"):
+        with pytest.raises(TypeError, match=f"strategy must be a Strategy, got '{name}'"):
+            ExecPlan(name, workers=2)
 
 
 def test_csv_round_trip(tmp_path):

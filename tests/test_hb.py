@@ -58,6 +58,13 @@ def test_policy_validation():
             MappingPolicy(MappingMode.FINE, neval=bad)
 
 
+def test_policy_rejects_a_mode_name():
+    # a plain string must raise, not fall through to the FINE path
+    for name in ("coarse", "fine"):
+        with pytest.raises(TypeError, match=f"mode must be a MappingMode, got '{name}'"):
+            MappingPolicy(name, workers=2)
+
+
 # ---------------------------------------------------------------------------
 # mapping equivalences
 # ---------------------------------------------------------------------------

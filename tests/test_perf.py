@@ -105,14 +105,14 @@ def test_grad_op_grid():
     assert records[0].n_chunks == 4
 
 
-def test_grid_crosses_chunks_only_with_plf_chunked():
-    cfg = GridConfig(n_rows=[2000], n_cols=[4],
-                     strategies=[Strategy.SOM, Strategy.PLF, Strategy.PLF_CHUNKED],
+def test_grid_crosses_chunks_with_every_strategy():
+    strategies = [Strategy.SOM, Strategy.PLF, Strategy.PLF_CHUNKED]
+    cfg = GridConfig(n_rows=[2000], n_cols=[4], strategies=strategies,
                      chunks=[1, 8], evals=2, reps=2)
     records, failures = run_grid(cfg)
-    assert len(records) == 4 and not failures
-    assert all(r.n_chunks == 1 for r in records if r.label in ("loglike/som", "loglike/plf"))
-    assert sorted(r.n_chunks for r in records if r.label == "loglike/plf_chunked") == [1, 8]
+    assert not failures
+    assert [(r.label, r.n_chunks) for r in records] == [
+        (f"loglike/{s.value}", c) for s in strategies for c in (1, 8)]
 
 
 @pytest.mark.parametrize("key", ["n_rows", "n_cols", "workers", "chunks", "evals", "reps"])

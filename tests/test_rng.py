@@ -207,6 +207,13 @@ def test_one_at_a_time_matches_buffered_streams():
     assert [n_one.next() for _ in range(201)] == list(n_buf.take(201))
 
 
+def test_buffer_rejects_a_kind_name():
+    # a plain string must raise, not fall through to Box-Muller normals
+    for name in ("uniform01", "std_normal"):
+        with pytest.raises(TypeError, match=f"kind must be a BufferKind, got '{name}'"):
+            DeviateBuffer(name, capacity=16)
+
+
 # ---------------------------------------------------------------------------
 # distributional sanity
 # ---------------------------------------------------------------------------
@@ -338,3 +345,11 @@ def test_bench_rejects_bad_n():
     for bad in (0, -5):
         with pytest.raises(ValueError, match=f"n must be >= 1, got {bad}"):
             rng_bench(BenchDist.UNIFORM, BenchMode.BATCH, bad)
+
+
+def test_bench_rejects_dist_and_mode_names():
+    # plain strings must raise, not fall through to the Dirichlet or one-at-a-time path
+    with pytest.raises(TypeError, match="dist must be a BenchDist, got 'uniform'"):
+        rng_bench("uniform", BenchMode.BATCH, 10)
+    with pytest.raises(TypeError, match="mode must be a BenchMode, got 'batch'"):
+        rng_bench(BenchDist.UNIFORM, "batch", 10)
