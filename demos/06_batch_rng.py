@@ -14,8 +14,9 @@ from parmcmc.rng import (BenchDist, BenchMode, BufferKind, OneAtATimeNormal,
 # identical streams no matter the buffer capacity (or none at all)
 ref = DeviateBuffer(BufferKind.STD_NORMAL, capacity=4096, seed=8).take(1000)
 tiny = DeviateBuffer(BufferKind.STD_NORMAL, capacity=3, seed=8).take(1000)
-oaat = np.array([OneAtATimeNormal(seed=8).next() for _ in range(1)])
-assert np.array_equal(ref, tiny) and oaat[0] == ref[0]
+per_call = OneAtATimeNormal(seed=8)
+oaat = np.array([per_call.next() for _ in range(1000)])
+assert np.array_equal(ref, tiny) and np.array_equal(oaat, ref)
 print("stream contract: capacity 3 == capacity 4096 == per-call, exactly\n")
 
 print(f"{'dist':<9}{'mode':<7}{'cycles/sample':>14}{'waste':>8}")

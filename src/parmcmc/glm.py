@@ -315,10 +315,10 @@ class GlmWorkspace:
     Quiescence invariant: xbeta equals a fresh X.beta_current to 1e-10 per
     element whenever no commit is in flight; `validate` checks it.
 
-    A slice driver stores L at beta_current and its number of row blocks when
-    it accepted the last point it evaluated, as the commit's axpy repeats that
-    evaluation's bit for bit; a nonzero commit clears it.  It answers only an
-    evaluation over as many blocks, since another split rounds differently.
+    A slice driver stores L at beta_current, keyed by its worker count's row
+    split, when it accepted the last point it evaluated, as the commit's axpy
+    repeats that evaluation's bit for bit; a nonzero commit clears it.  It
+    answers only a worker count that splits alike: other splits round differently.
     """
 
     def __init__(self, data: DesignMatrix, beta0):
@@ -345,13 +345,13 @@ class GlmWorkspace:
         self.data = data
         self._stored = None
 
-    def store_loglike(self, value: float, blocks: int) -> None:
-        """Keep L at beta_current, summed over `blocks` row blocks, until a commit moves it."""
-        self._stored = (value, blocks)
+    def store_loglike(self, value: float, workers: int) -> None:
+        """Keep L at beta_current, as diff_loglike at `workers` sums it, until a commit moves it."""
+        self._stored = (value, _diff_blocks(self.n_rows, workers))
 
-    def stored_loglike(self, blocks: int) -> float | None:
-        """The kept L at beta_current if it was summed over `blocks` row blocks, else None."""
-        stored = self._stored
+    def stored_loglike(self, workers: int) -> float | None:
+        """The kept L at beta_current if diff_loglike at `workers` splits rows alike, else None."""
+        stored, blocks = self._stored, _diff_blocks(self.n_rows, workers)
         return stored[0] if stored is not None and stored[1] == blocks else None
 
     @property
@@ -371,6 +371,8 @@ class GlmWorkspace:
 
 
 def _check_coord(ws: GlmWorkspace, k: int) -> None:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise TypeError(f"coordinate must be an integer, got {k!r}")
     if not 0 <= k < ws.n_cols:
         raise IndexError(f"coordinate {k} out of range [0, {ws.n_cols})")
 

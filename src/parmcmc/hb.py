@@ -40,8 +40,6 @@ trade-off).  It consumes no randomness and therefore never changes draws.
 
 from __future__ import annotations
 
-import statistics
-import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -50,7 +48,7 @@ import numpy as np
 from . import parallel
 from .glm import (DesignMatrix, ExecPlan, GlmWorkspace, _coord_slope, _shifted_loglike,
                   commit_update, loglike, synthetic_logistic)
-from .perf import BenchRecord
+from .perf import BenchRecord, _median_wall
 from .rng import BufferKind, DeviateBuffer
 from .sampler import ChainConfig, GaussianPrior, SliceStats, slice_moves, slice_sample_coord
 
@@ -253,10 +251,13 @@ def hb_sweep(ds: HbDataset, state: HbState, prior: GaussianPrior,
     equal-size groups is stepped in lockstep, otherwise group by group with
     likelihoods of up to `inner` workers, each worker taking at least
     glm._DIFF_MIN_ROWS rows.  Raises ValueError if `state` was built for
-    another dataset.  Returns the post-sweep coefficient vectors (copies).
+    another dataset or `prior` has another dimension than the dataset.
+    Returns the post-sweep coefficient vectors (copies).
     """
     if ds is not state.ds:
         raise ValueError("state was built for a different dataset")
+    if prior.mu.shape != (ds.n_cols,):
+        raise ValueError("prior dimension does not match dataset")
     coarse = policy.mode is MappingMode.COARSE
     outer, inner = (policy.workers, 1) if coarse else (1, policy.workers)
     if policy.neval > 1:
@@ -282,10 +283,11 @@ def hb_benchmark(ds: HbDataset, prior: GaussianPrior, policies: list[MappingPoli
                  n_sweeps: int = 3, reps: int = 3, seed: int = 0) -> list[BenchRecord]:
     """Time hb_sweep under each policy; one record per policy.
 
-    Every repetition restarts from a fresh state with the same seed, so the
-    draw streams are identical across repetitions and across policies with
-    equivalent schedules (only the timings vary).  The declared `evals` is
-    n_sweeps * neval (the per-group full-likelihood passes), making cpr a
+    The wall time is the median of `reps` repetitions, each restarting from
+    a fresh state with the same seed, built untimed, so the draw streams are
+    identical across repetitions and across policies with equivalent
+    schedules (only the timings vary).  The declared `evals` is n_sweeps *
+    neval (the per-group full-likelihood passes), making cpr a
     cycles-per-group-row throughput figure at the reference machine's clock.
     """
     for name, value in (("n_sweeps", n_sweeps), ("reps", reps)):
@@ -293,16 +295,13 @@ def hb_benchmark(ds: HbDataset, prior: GaussianPrior, policies: list[MappingPoli
             raise ValueError(f"{name} must be >= 1, got {value}")
     records = []
     for policy in policies:
-        walls = []
-        for _ in range(reps):
-            state = HbState(ds, prior, seed=seed)
-            t0 = time.perf_counter()
+        def sweeps(state):
             for _ in range(n_sweeps):
                 hb_sweep(ds, state, prior, policy)
-            walls.append(time.perf_counter() - t0)
-        label = f"hb/{policy.mode.value}/neval{policy.neval}"
+
+        wall = _median_wall(reps, sweeps, lambda: (HbState(ds, prior, seed=seed),))
         records.append(BenchRecord.from_wall(
-            label=label, n_rows=ds.n_rows_total, n_cols=ds.n_cols,
-            workers=policy.workers, n_chunks=1,
-            wall_seconds=statistics.median(walls), evals=n_sweeps * policy.neval))
+            label=f"hb/{policy.mode.value}/neval{policy.neval}", n_rows=ds.n_rows_total,
+            n_cols=ds.n_cols, workers=policy.workers, n_chunks=1,
+            wall_seconds=wall, evals=n_sweeps * policy.neval))
     return records

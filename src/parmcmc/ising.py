@@ -308,8 +308,11 @@ def gibbs_sweep(lat: IsingLattice, rng_buffer: DeviateBuffer) -> None:
     Once a color has taken its deviates, the other color's, if it has at
     least _LOOKAHEAD_MIN_SITES sites, start filling on the region pool
     (`DeviateBuffer.prefetch`), so the sweep may return with a fill
-    pending; the buffer's next read joins it.
+    pending; the buffer's next read joins it.  Raises TypeError, reading no
+    deviate, unless `rng_buffer` is a UNIFORM01 buffer.
     """
+    if rng_buffer.kind is not BufferKind.UNIFORM01:
+        raise TypeError(f"rng_buffer must be a UNIFORM01 buffer, got {rng_buffer.kind}")
     part = lat.partition
     for c in (0, 1):
         s = part.packed_s[c]

@@ -142,19 +142,28 @@ def run_grid(cfg: GridConfig) -> tuple[list[BenchRecord], list[tuple[str, str]]]
     return records, failures
 
 
+def _median_wall(reps: int, fn, setup=tuple) -> float:
+    """Median wall seconds of `reps` timed calls fn(*setup()); setup runs untimed."""
+    walls = []
+    for _ in range(reps):
+        args = setup()
+        t0 = time.perf_counter()
+        fn(*args)
+        walls.append(time.perf_counter() - t0)
+    return statistics.median(walls)
+
+
 def _run_cell(cfg, data, betas, label, strategy, workers, chunks, n, k) -> BenchRecord:
     plan = ExecPlan(strategy, workers=workers, n_chunks=chunks)
     fn = loglike if cfg.op == "loglike" else loglike_grad
     for i in range(_WARMUP):
         fn(data, betas[i % cfg.evals], plan)
-    walls = []
-    for _ in range(cfg.reps):
-        t0 = time.perf_counter()
-        for e in range(cfg.evals):
-            fn(data, betas[e], plan)
-        walls.append(time.perf_counter() - t0)
+    def evals():
+        for beta in betas:
+            fn(data, beta, plan)
+
     rec = BenchRecord.from_wall(label, n, k, workers, chunks,
-                                statistics.median(walls), cfg.evals)
+                                _median_wall(cfg.reps, evals), cfg.evals)
     bound = compute_min_cpr(k)
     if rec.cpr < bound:
         raise RooflineViolation(
@@ -187,15 +196,6 @@ def region_overhead_probe(workers: int, reps: int = 200) -> float:
     """Median wall seconds to open and close one empty region of `workers` tasks."""
     if workers < 1 or reps < 1:
         raise ValueError(f"workers and reps must be >= 1, got workers={workers}, reps={reps}")
-
-    def noop():
-        return None
-
-    tasks = [noop] * workers
+    tasks = [lambda: None] * workers
     parallel.run_region(tasks)  # warm the pool
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        parallel.run_region(tasks)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    return _median_wall(reps, parallel.run_region, lambda: (tasks,))

@@ -32,7 +32,6 @@ from buffers and one fed from per-call sources produce identical draws.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import Future
 from dataclasses import dataclass
 from enum import Enum
@@ -97,6 +96,8 @@ class DeviateBuffer:
                  owner: Sequence[int] = ()):
         if not isinstance(kind, BufferKind):
             raise TypeError(f"kind must be a BufferKind, got {kind!r}")
+        if isinstance(capacity, bool) or not isinstance(capacity, (int, np.integer)):
+            raise TypeError(f"capacity must be an integer, got {capacity!r}")
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.kind = kind
@@ -362,10 +363,11 @@ _BENCH_DIRICHLET_K = 100  # LDA-style topic count; cycles normalized per Gamma d
 def rng_bench(dist: BenchDist, mode: BenchMode, n: int, seed: int = 0) -> RngBenchRecord:
     """Time generating n deviates and report cycles per sample.
 
-    Batch mode consumes default-capacity buffers; one-at-a-time mode invokes
-    the generator per deviate.  Cycles count at `perf.REFERENCE_CLOCK_GHZ`,
-    read at call time.  Dirichlet draws are K=100 vectors and the per-sample
-    normalization is per Gamma component generated.
+    Every distribution draws from one source pair, a uniform keyed (seed, (0,))
+    and a normal keyed (seed, (1,)): default-capacity buffers in batch mode,
+    OneAtATime* generators otherwise.  One region is timed; waste is pooled
+    over both sources.  Cycles count at `perf.REFERENCE_CLOCK_GHZ`, read at
+    call time.  Dirichlet draws are K=100 vectors, normalized per Gamma component.
     """
     if not isinstance(dist, BenchDist):
         raise TypeError(f"dist must be a BenchDist, got {dist!r}")
@@ -373,54 +375,36 @@ def rng_bench(dist: BenchDist, mode: BenchMode, n: int, seed: int = 0) -> RngBen
         raise TypeError(f"mode must be a BenchMode, got {mode!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    waste = 0.0
-    if dist in (BenchDist.UNIFORM, BenchDist.NORMAL):
-        kind = BufferKind.UNIFORM01 if dist is BenchDist.UNIFORM else BufferKind.STD_NORMAL
-        if mode is BenchMode.BATCH:
-            buf = DeviateBuffer(kind, seed=seed)
-            sink = 0.0
-            t0 = time.perf_counter()
-            left = n
-            while left > 0:
-                block = buf.take(min(left, buf.capacity))
-                sink += float(block[-1])
-                left -= block.size
-            wall = time.perf_counter() - t0
-            waste = buf.waste_fraction
-        else:
-            src = OneAtATimeUniform(seed) if dist is BenchDist.UNIFORM else OneAtATimeNormal(seed)
-            sink = 0.0
-            t0 = time.perf_counter()
-            for _ in range(n):
-                sink += src.next()
-            wall = time.perf_counter() - t0
-        samples = n
+    batch = mode is BenchMode.BATCH
+    if batch:
+        u_src = DeviateBuffer(BufferKind.UNIFORM01, seed=seed, owner=(0,))
+        n_src = DeviateBuffer(BufferKind.STD_NORMAL, seed=seed, owner=(1,))
     else:
-        u_src, n_src = _bench_sources(mode, seed)
-        t0 = time.perf_counter()
+        u_src, n_src = OneAtATimeUniform(seed, owner=(0,)), OneAtATimeNormal(seed, owner=(1,))
+    src = u_src if dist is BenchDist.UNIFORM else n_src
+    alphas = np.ones(_BENCH_DIRICHLET_K)
+
+    def run():
         if dist is BenchDist.GAMMA:
             for _ in range(n):
                 gamma_sample(_BENCH_GAMMA, u_src, n_src)
-            samples = n
-        else:
-            alphas = np.ones(_BENCH_DIRICHLET_K)
+        elif dist is BenchDist.DIRICHLET:
             for _ in range(n):
                 dirichlet_sample(alphas, u_src, n_src)
-            samples = n * _BENCH_DIRICHLET_K
-        wall = time.perf_counter() - t0
-        if mode is BenchMode.BATCH:
-            gen = u_src.generated + n_src.generated
-            used = u_src.consumed + n_src.consumed
-            waste = (gen - used) / gen if gen else 0.0
+        elif batch:
+            for a in range(0, n, src.capacity):
+                src.take(min(src.capacity, n - a))
+        else:
+            for _ in range(n):
+                src.next()
+
+    wall = perf._median_wall(1, run)
+    pool = (u_src, n_src) if batch else ()
+    generated = sum(b.generated for b in pool)
+    waste = (generated - sum(b.consumed for b in pool)) / generated if generated else 0.0
+    samples = n * _BENCH_DIRICHLET_K if dist is BenchDist.DIRICHLET else n
     cps = wall * perf.REFERENCE_CLOCK_GHZ * 1e9 / samples
     return RngBenchRecord(dist.value, mode.value, n, cps, waste)
-
-
-def _bench_sources(mode: BenchMode, seed: int):
-    if mode is BenchMode.BATCH:
-        return (DeviateBuffer(BufferKind.UNIFORM01, seed=seed, owner=(0,)),
-                DeviateBuffer(BufferKind.STD_NORMAL, seed=seed, owner=(1,)))
-    return OneAtATimeUniform(seed, owner=(0,)), OneAtATimeNormal(seed, owner=(1,))
 
 
 def write_rng_bench_csv(records: Sequence[RngBenchRecord], path) -> None:

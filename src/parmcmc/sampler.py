@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .glm import (DesignMatrix, GlmWorkspace, _coord_slope, _diff_blocks, commit_update,
-                  diff_loglike, loglike_grad)
+from .glm import (DesignMatrix, GlmWorkspace, _coord_slope, commit_update, diff_loglike,
+                  loglike_grad)
 from .rng import BufferKind, DeviateBuffer
 
 __all__ = [
@@ -289,13 +289,15 @@ def slice_sample_coord(ws: GlmWorkspace, prior: GaussianPrior, k: int, rng: Devi
     the slope its hull needs at the current point.  x0 is answered from the
     stored L when it was summed over as many row blocks as `workers` gives,
     and L is stored again after the commit if the draw was last evaluated.
+    Raises TypeError, reading no deviate, unless `rng` is a UNIFORM01 buffer.
     """
+    if rng.kind is not BufferKind.UNIFORM01:
+        raise TypeError(f"rng must be a UNIFORM01 buffer, got {rng.kind}")
     stats = stats if stats is not None else SliceStats()
     x0 = float(ws.beta_current[k])
-    blocks = _diff_blocks(ws.n_rows, workers)
     moves = slice_moves(x0, k, rng, cfg, _posterior_slope(ws, prior, k))
     x, d = next(moves), 0.0
-    ll = ws.stored_loglike(blocks)
+    ll = ws.stored_loglike(workers)
     stats.reused += ll is not None
     try:
         while True:
@@ -307,7 +309,7 @@ def slice_sample_coord(ws: GlmWorkspace, prior: GaussianPrior, k: int, rng: Devi
     except StopIteration as done:
         commit_update(ws, k, done.value - x0)
         if done.value == x:
-            ws.store_loglike(ll, blocks)
+            ws.store_loglike(ll, workers)
         return done.value
 
 
@@ -328,7 +330,8 @@ def run_chain(data: DesignMatrix, prior: GaussianPrior, cfg: ChainConfig,
 
     The chain starts at the prior mean.  `rng` overrides the default
     cfg.seed-keyed uniform buffer (used to splice a chain into an
-    externally managed stream, e.g. a hierarchical per-group stream).
+    externally managed stream, e.g. a hierarchical per-group stream); a
+    buffer of another kind raises TypeError before any deviate is read.
     With debug=True, every 100 iterations the workspace is recomputed and
     checked to 1e-8 per element, and each coordinate's slope against
     `loglike_grad` to 1e-8 relative; after every iteration the stored L at
@@ -337,7 +340,6 @@ def run_chain(data: DesignMatrix, prior: GaussianPrior, cfg: ChainConfig,
     """
     if prior.mu.shape != (data.n_cols,):
         raise ValueError(f"prior has {prior.mu.shape[0]} coordinates, data has {data.n_cols}")
-    blocks = _diff_blocks(data.n_rows, workers)
     if rng is None:
         rng = DeviateBuffer(BufferKind.UNIFORM01, seed=cfg.seed)
     ws = GlmWorkspace(data, prior.mu)
@@ -350,7 +352,7 @@ def run_chain(data: DesignMatrix, prior: GaussianPrior, cfg: ChainConfig,
             slice_sample_coord(ws, prior, k, rng, cfg, workers, stats)
         if it >= cfg.n_burnin:
             draws[it - cfg.n_burnin] = ws.beta_current
-        stored = ws.stored_loglike(blocks) if debug else None
+        stored = ws.stored_loglike(workers) if debug else None
         if stored is not None and stored != (fresh := diff_loglike(ws, 0, 0.0, workers)):
             raise AssertionError(f"stored L at beta_current is {stored!r}, "
                                  f"a fresh evaluation gives {fresh!r}")

@@ -242,6 +242,21 @@ def test_diff_loglike_requires_transpose_and_valid_coord():
         commit_update(ws, -1, 0.1)
 
 
+def test_coordinates_must_be_integers():
+    # True would index X.beta's rows as a mask and return an array, not a float
+    data, beta = random_instance(10, 3, seed=2)
+    ws = GlmWorkspace(data, beta)
+    for bad in (True, np.True_, 1.0, np.float64(1.0)):
+        with pytest.raises(TypeError, match="coordinate must be an integer"):
+            diff_loglike(ws, bad, 0.1)
+        with pytest.raises(TypeError, match="coordinate must be an integer"):
+            commit_update(ws, bad, 0.1)
+    np.testing.assert_array_equal(ws.beta_current, beta)
+    assert diff_loglike(ws, np.int64(1), 0.1) == diff_loglike(ws, 1, 0.1)
+    commit_update(ws, np.intp(1), 0.1)
+    assert ws.beta_current[1] == beta[1] + 0.1
+
+
 def test_diff_loglike_rejects_zero_workers():
     data, beta = random_instance(10, 3, seed=2)
     ws = GlmWorkspace(data, beta)
@@ -333,17 +348,25 @@ def test_commit_zero_delta_is_identity():
 
 
 def test_stored_loglike_outlives_reads_and_zero_moves_only():
-    # the stored L at beta_current answers only its own row split, and a
-    # commit that moves X.beta clears it
+    # the stored L at beta_current answers every worker count that splits the
+    # rows as the storing one did, and a commit that moves X.beta clears it
     data, beta = random_instance(40, 4, seed=3)
     ws = GlmWorkspace(data, beta)
     assert ws.stored_loglike(1) is None
     ws.store_loglike(-7.5, 1)
     diff_loglike(ws, 2, 0.3)
     commit_update(ws, 1, 0.0)
-    assert ws.stored_loglike(1) == -7.5 and ws.stored_loglike(2) is None
+    # 40 rows run as one block at any worker count
+    assert ws.stored_loglike(1) == ws.stored_loglike(2) == -7.5
     commit_update(ws, 1, 0.2)
     assert ws.stored_loglike(1) is None
+    # 2 * _DIFF_MIN_ROWS rows split in two at 2 workers: a 1-worker value misses
+    data, beta = synthetic_logistic(2 * _DIFF_MIN_ROWS, 2, seed=3)
+    ws = GlmWorkspace(data, beta)
+    ws.store_loglike(-7.5, 1)
+    assert ws.stored_loglike(1) == -7.5 and ws.stored_loglike(2) is None
+    ws.store_loglike(-6.5, 2)
+    assert ws.stored_loglike(3) == -6.5 and ws.stored_loglike(1) is None
 
 
 def test_commit_sequence_stays_quiescent():

@@ -141,6 +141,17 @@ def test_sweep_rejects_a_state_built_for_another_dataset():
                 hb_sweep(other, HbState(ds_a, prior, seed=1), prior, policy)
 
 
+def test_sweep_rejects_a_prior_of_another_dimension():
+    # a 3-coordinate prior on 2-column groups used to run on its first two coordinates
+    ds, _, prior = tiny_setup(m=2, k=2, navg=50, seed=16)
+    state = HbState(ds, prior, seed=1)
+    wide = GaussianPrior(np.full(3, 5.0), np.full(3, 0.1))
+    for mode in MappingMode:
+        with pytest.raises(ValueError, match="prior dimension does not match dataset"):
+            hb_sweep(ds, state, wide, MappingPolicy(mode, workers=2))
+    assert all(buf.consumed == 0 for buf in state.buffers)
+
+
 def test_coarse_updates_run_on_the_calling_thread(monkeypatch):
     # with neval == 1 a COARSE sweep opens no multi-task region at any
     # worker count: the lockstep driver commits every draw on the caller

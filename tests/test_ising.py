@@ -556,6 +556,16 @@ def test_denoise_zero_sweeps_returns_input():
     np.testing.assert_array_equal(out, noisy)
 
 
+def test_gibbs_sweep_refuses_a_normal_buffer():
+    lat = IsingLattice.from_image(synthetic_binary_image(64, 64), w=1.0, bias_scale=2.0)
+    before = lat.s.copy()
+    buf = DeviateBuffer(BufferKind.STD_NORMAL, seed=3)
+    with pytest.raises(TypeError, match="rng_buffer must be a UNIFORM01 buffer"):
+        gibbs_sweep(lat, buf)
+    assert buf.generated == buf.consumed == 0
+    np.testing.assert_array_equal(lat.s, before)
+
+
 def test_denoise_rejects_bad_input():
     with pytest.raises(ValueError):
         denoise(np.empty((0, 0)))

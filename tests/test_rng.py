@@ -214,6 +214,16 @@ def test_buffer_rejects_a_kind_name():
             DeviateBuffer(name, capacity=16)
 
 
+def test_buffer_capacity_must_be_an_integer():
+    # 2.5 and True used to be cut to capacities 2 and 1 without a word
+    for bad in (2.5, 4.0, True):
+        with pytest.raises(TypeError, match="capacity must be an integer"):
+            DeviateBuffer(BufferKind.UNIFORM01, capacity=bad)
+    buf = DeviateBuffer(BufferKind.UNIFORM01, capacity=np.int64(3), seed=4)
+    assert buf.capacity == 3
+    np.testing.assert_array_equal(buf.take(7), DeviateBuffer(BufferKind.UNIFORM01, seed=4).take(7))
+
+
 # ---------------------------------------------------------------------------
 # distributional sanity
 # ---------------------------------------------------------------------------

@@ -343,6 +343,20 @@ def test_zero_workers_is_rejected():
     assert buf.consumed == 0 and ws.stored_loglike(1) is None
 
 
+def test_samplers_refuse_a_normal_buffer():
+    # every deviate is read as a uniform, so a normal buffer must raise before any is read
+    data, _, prior = small_problem(n=50, k=2)
+    cfg = ChainConfig(n_iter=2, n_burnin=0)
+    ws = GlmWorkspace(data, prior.mu)
+    buf = DeviateBuffer(BufferKind.STD_NORMAL, seed=1)
+    with pytest.raises(TypeError, match="rng must be a UNIFORM01 buffer"):
+        slice_sample_coord(ws, prior, 0, buf, cfg)
+    with pytest.raises(TypeError, match="rng must be a UNIFORM01 buffer"):
+        run_chain(data, prior, cfg, rng=buf)
+    assert buf.generated == buf.consumed == 0
+    np.testing.assert_array_equal(ws.beta_current, prior.mu)
+
+
 def test_chain_debug_mode_validates_workspace():
     data, _, prior = small_problem(n=150, k=3, seed=10)
     out = run_chain(data, prior, ChainConfig(n_iter=120, n_burnin=0, seed=2), debug=True)
