@@ -1,13 +1,13 @@
 """Batch RNG: pre-generated deviate buffers vs per-call generation.
 
 Buffers amortize generation into vectorized blocks while emitting the
-exact same stream as one-at-a-time calls; Gamma/Dirichlet samplers consume
+exact same stream as one-at-a-time calls; the Gamma sampler consumes
 the buffers, so an entire MCMC run is reproducible from its seeds.
 """
 
 import numpy as np
 
-from parmcmc import DeviateBuffer, GammaParams, dirichlet_sample, gamma_sample
+from parmcmc import DeviateBuffer, GammaParams, gamma_sample
 from parmcmc.rng import (BenchDist, BenchMode, BufferKind, OneAtATimeNormal,
                          rng_bench)
 
@@ -26,11 +26,9 @@ for dist, n in ((BenchDist.UNIFORM, 2_000_000), (BenchDist.NORMAL, 500_000),
         r = rng_bench(dist, mode, n, seed=9)
         print(f"{r.dist:<9}{r.mode:<7}{r.cycles_per_sample:>14.1f}{r.waste_fraction:>8.3f}")
 
-# buffered samplers for the distributions that cannot be pre-generated
+# a buffered sampler for a distribution that cannot be pre-generated
 u = DeviateBuffer(BufferKind.UNIFORM01, seed=10, owner=(0,))
 z = DeviateBuffer(BufferKind.STD_NORMAL, seed=10, owner=(1,))
 g = np.array([gamma_sample(GammaParams(2.0, 3.0), u, z) for _ in range(200_000)])
 print(f"\nGamma(2,3): mean {g.mean():.4f} (exact 2/3), var {g.var():.4f} (exact 2/9)")
-d = np.array([dirichlet_sample([2.0, 3.0, 5.0], u, z) for _ in range(50_000)])
-print(f"Dirichlet(2,3,5) means: {np.round(d.mean(axis=0), 3)} (exact 0.2/0.3/0.5)")
 print(f"base-deviate waste this run: {(u.waste_fraction + z.waste_fraction) / 2:.4%}")

@@ -10,7 +10,7 @@ Subpackages by capability:
              worker mappings
 * `ising`    checkerboard lattice Gibbs sampling and image denoising
 * `rng`      buffered batch random-number generation (uniform, normal,
-             Gamma, Dirichlet)
+             Gamma)
 * `perf`     roofline bounds, CPR records, benchmark grid runner
 * `cli`      the `parmcmc` command-line front end
 """
@@ -25,7 +25,7 @@ from .ising import (ColorPartition, IsingLattice, color_lattice, conditional_pro
                     synthetic_binary_image, write_pbm)
 from .perf import BenchRecord, GridConfig, compute_min_cpr, memory_min_cpr, run_grid
 from .rng import (BufferKind, DeviateBuffer, GammaParams, OneAtATimeNormal,
-                  OneAtATimeUniform, dirichlet_sample, gamma_sample, rng_bench)
+                  OneAtATimeUniform, gamma_sample, rng_bench)
 from .sampler import (ChainConfig, ChainOutput, GaussianPrior, SliceShrinkError,
                       SliceWidenError, log_posterior_coord, run_chain,
                       slice_sample_coord, write_draws_csv)

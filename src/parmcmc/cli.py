@@ -122,8 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.set_defaults(func=cmd_ising_denoise)
 
     r = sub.add_parser("rng-bench", help=_DESC["rng-bench"])
-    r.add_argument("--dists", default=[rng.BenchDist.UNIFORM, rng.BenchDist.NORMAL,
-                                       rng.BenchDist.GAMMA], **_enum_list(rng.BenchDist))
+    r.add_argument("--dists", default=list(rng.BenchDist), **_enum_list(rng.BenchDist))
     r.add_argument("--modes", default=list(rng.BenchMode), **_enum_list(rng.BenchMode))
     r.add_argument("--n", type=int, default=1_000_000)
     r.add_argument("--seed", type=int, default=0)

@@ -69,6 +69,11 @@ class Strategy(Enum):
     SHARDED = "sharded"
 
 
+def _is_integer(v) -> bool:
+    """True for a Python or numpy integer; bools are not counts or indices here."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ExecPlan:
     """How an evaluation maps onto workers, and each worker's block onto n_chunks pieces."""
@@ -80,6 +85,9 @@ class ExecPlan:
     def __post_init__(self):
         if not isinstance(self.strategy, Strategy):
             raise TypeError(f"strategy must be a Strategy, got {self.strategy!r}")
+        for name, v in (("workers", self.workers), ("n_chunks", self.n_chunks)):
+            if not _is_integer(v):
+                raise TypeError(f"{name} must be an integer, got {v!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.n_chunks < 1:
@@ -371,7 +379,7 @@ class GlmWorkspace:
 
 
 def _check_coord(ws: GlmWorkspace, k: int) -> None:
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+    if not _is_integer(k):
         raise TypeError(f"coordinate must be an integer, got {k!r}")
     if not 0 <= k < ws.n_cols:
         raise IndexError(f"coordinate {k} out of range [0, {ws.n_cols})")

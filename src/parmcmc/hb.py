@@ -46,8 +46,8 @@ from enum import Enum
 import numpy as np
 
 from . import parallel
-from .glm import (DesignMatrix, ExecPlan, GlmWorkspace, _coord_slope, _shifted_loglike,
-                  commit_update, loglike, synthetic_logistic)
+from .glm import (DesignMatrix, ExecPlan, GlmWorkspace, _coord_slope, _is_integer,
+                  _shifted_loglike, commit_update, loglike, synthetic_logistic)
 from .perf import BenchRecord, _median_wall
 from .rng import BufferKind, DeviateBuffer
 from .sampler import ChainConfig, GaussianPrior, SliceStats, slice_moves, slice_sample_coord
@@ -72,6 +72,9 @@ class MappingPolicy:
     def __post_init__(self):
         if not isinstance(self.mode, MappingMode):
             raise TypeError(f"mode must be a MappingMode, got {self.mode!r}")
+        for name, v in (("workers", self.workers), ("neval", self.neval)):
+            if not _is_integer(v):
+                raise TypeError(f"{name} must be an integer, got {v!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.neval < 1:

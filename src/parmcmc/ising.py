@@ -47,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .glm import _sigmoid
-from .rng import BufferKind, DeviateBuffer
+from .rng import BufferKind, DeviateBuffer, _check_uniform_buffer
 
 __all__ = [
     "IsingLattice", "ColorPartition", "conditional_prob",
@@ -311,8 +311,7 @@ def gibbs_sweep(lat: IsingLattice, rng_buffer: DeviateBuffer) -> None:
     pending; the buffer's next read joins it.  Raises TypeError, reading no
     deviate, unless `rng_buffer` is a UNIFORM01 buffer.
     """
-    if rng_buffer.kind is not BufferKind.UNIFORM01:
-        raise TypeError(f"rng_buffer must be a UNIFORM01 buffer, got {rng_buffer.kind}")
+    _check_uniform_buffer(rng_buffer, "rng_buffer")
     part = lat.partition
     for c in (0, 1):
         s = part.packed_s[c]

@@ -17,9 +17,11 @@ on a pool thread, or in task 0 on the caller -- runs its tasks inline on
 that thread.  This both avoids pool starvation and mirrors the usual
 nested-parallelism-off runtime default.  A one-task region is no fork at
 all: its task runs on the caller's thread without marking it, so a region
-the task opens still fans out to the pool.  One pool serves every region;
-it grows by replacement to the largest region seen, less the caller's
-task, and is shut down at exit.
+the task opens still fans out to the pool.  One pool, made at import,
+serves every region.  It has no thread cap, since a capped pool would
+serialize a region's tasks; it starts a thread only when none is idle,
+so it holds about as many threads as the largest region seen, less the
+caller's task.  `concurrent.futures` joins its threads at exit.
 
 `submit` hands that pool one task without a region and returns its
 future, so the caller can keep working and join later.  From inside a
@@ -29,7 +31,7 @@ task on a saturated pool would otherwise wait on itself.
 
 from __future__ import annotations
 
-import atexit
+import sys
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
@@ -40,9 +42,7 @@ __all__ = ["partition", "run_region", "submit"]
 
 T = TypeVar("T")
 
-_pool: ThreadPoolExecutor | None = None
-_pool_size = 0
-_pool_lock = threading.Lock()
+_pool = ThreadPoolExecutor(max_workers=sys.maxsize, thread_name_prefix="region")
 _tls = threading.local()
 
 
@@ -66,21 +66,7 @@ def partition(n: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _submit(tasks: Sequence[Callable[[], T]]) -> list[Future]:
-    """Submit the tasks to the one pool, replacing it first if it is too small.
-
-    Submitting under the lock keeps a region off a pool already shut down.
-    """
-    global _pool, _pool_size
-    with _pool_lock:
-        if _pool_size < len(tasks):
-            if _pool is not None:
-                _pool.shutdown()  # waits for the old threads to exit
-            _pool = ThreadPoolExecutor(max_workers=len(tasks), thread_name_prefix="region")
-            _pool_size = len(tasks)
-        return [_pool.submit(_run_wrapped, t) for t in tasks]
-
-
-atexit.register(lambda: _pool is not None and _pool.shutdown())
+    return [_pool.submit(_run_wrapped, t) for t in tasks]
 
 
 def _run_wrapped(task: Callable[[], T]) -> T:

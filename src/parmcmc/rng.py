@@ -41,10 +41,11 @@ from typing import Sequence
 import numpy as np
 
 from . import parallel, perf
+from .glm import _is_integer
 
 __all__ = [
     "BufferKind", "RngDrainError", "DeviateBuffer", "OneAtATimeUniform", "OneAtATimeNormal",
-    "GammaParams", "gamma_sample", "dirichlet_sample",
+    "GammaParams", "gamma_sample",
     "BenchDist", "BenchMode", "RngBenchRecord", "rng_bench", "write_rng_bench_csv",
 ]
 
@@ -96,7 +97,7 @@ class DeviateBuffer:
                  owner: Sequence[int] = ()):
         if not isinstance(kind, BufferKind):
             raise TypeError(f"kind must be a BufferKind, got {kind!r}")
-        if isinstance(capacity, bool) or not isinstance(capacity, (int, np.integer)):
+        if not _is_integer(capacity):
             raise TypeError(f"capacity must be an integer, got {capacity!r}")
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
@@ -231,6 +232,13 @@ class DeviateBuffer:
         return (self.generated - self.consumed) / self.generated
 
 
+def _check_uniform_buffer(src, name: str) -> None:
+    """Raise TypeError, reading no deviate, unless src is a UNIFORM01 DeviateBuffer."""
+    if not isinstance(src, DeviateBuffer) or src.kind is not BufferKind.UNIFORM01:
+        got = src.kind if isinstance(src, DeviateBuffer) else type(src).__name__
+        raise TypeError(f"{name} must be a UNIFORM01 buffer, got {got}")
+
+
 class OneAtATimeUniform:
     """Per-call scalar generation on the same stream as a Uniform01 buffer."""
 
@@ -296,37 +304,18 @@ def _gamma_std(alpha: float, u_src, n_src) -> float:
     raise RngDrainError(f"gamma rejection failed to accept after {_GAMMA_MAX_REJECT} rounds")
 
 
-def _gamma_shape(alpha: float, u_src, n_src) -> float:
-    """Gamma(alpha, 1) for any alpha > 0; alpha < 1 boosted via U**(1/alpha)."""
-    if alpha < 1.0:
-        y = _gamma_std(alpha + 1.0, u_src, n_src)
-        u = u_src.next()
-        return y * u ** (1.0 / alpha)
-    return _gamma_std(alpha, u_src, n_src)
-
-
 def gamma_sample(params: GammaParams, u_src, n_src) -> float:
     """One Gamma(alpha, rate) deviate from buffered (or per-call) base streams.
 
     alpha < 1 is boosted through Gamma(alpha+1) times U**(1/alpha), which
     consumes one extra uniform per draw.
     """
-    return _gamma_shape(params.alpha, u_src, n_src) / params.rate
-
-
-def dirichlet_sample(alphas, u_src, n_src) -> np.ndarray:
-    """Dirichlet(alphas) via normalized Gamma(alpha_i, 1) draws."""
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.ndim != 1 or alphas.size < 1:
-        raise ValueError("alphas must be a non-empty 1-D vector")
-    if not np.all(alphas > 0):
-        raise ValueError("all alphas must be > 0")
-    for _ in range(2):  # one retry on total underflow (tiny alphas)
-        y = np.array([_gamma_shape(float(a), u_src, n_src) for a in alphas])
-        total = y.sum()
-        if total > 0.0:
-            return y / total
-    raise RngDrainError("dirichlet gamma components underflowed to zero twice")
+    alpha = params.alpha
+    if alpha < 1.0:
+        y = _gamma_std(alpha + 1.0, u_src, n_src)
+        u = u_src.next()
+        return y * u ** (1.0 / alpha) / params.rate
+    return _gamma_std(alpha, u_src, n_src) / params.rate
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +326,6 @@ class BenchDist(Enum):
     UNIFORM = "uniform"
     NORMAL = "normal"
     GAMMA = "gamma"
-    DIRICHLET = "dirichlet"
 
 
 class BenchMode(Enum):
@@ -357,7 +345,6 @@ class RngBenchRecord:
 
 
 _BENCH_GAMMA = GammaParams(alpha=2.0, rate=3.0)
-_BENCH_DIRICHLET_K = 100  # LDA-style topic count; cycles normalized per Gamma draw
 
 
 def rng_bench(dist: BenchDist, mode: BenchMode, n: int, seed: int = 0) -> RngBenchRecord:
@@ -367,7 +354,7 @@ def rng_bench(dist: BenchDist, mode: BenchMode, n: int, seed: int = 0) -> RngBen
     and a normal keyed (seed, (1,)): default-capacity buffers in batch mode,
     OneAtATime* generators otherwise.  One region is timed; waste is pooled
     over both sources.  Cycles count at `perf.REFERENCE_CLOCK_GHZ`, read at
-    call time.  Dirichlet draws are K=100 vectors, normalized per Gamma component.
+    call time.
     """
     if not isinstance(dist, BenchDist):
         raise TypeError(f"dist must be a BenchDist, got {dist!r}")
@@ -382,15 +369,11 @@ def rng_bench(dist: BenchDist, mode: BenchMode, n: int, seed: int = 0) -> RngBen
     else:
         u_src, n_src = OneAtATimeUniform(seed, owner=(0,)), OneAtATimeNormal(seed, owner=(1,))
     src = u_src if dist is BenchDist.UNIFORM else n_src
-    alphas = np.ones(_BENCH_DIRICHLET_K)
 
     def run():
         if dist is BenchDist.GAMMA:
             for _ in range(n):
                 gamma_sample(_BENCH_GAMMA, u_src, n_src)
-        elif dist is BenchDist.DIRICHLET:
-            for _ in range(n):
-                dirichlet_sample(alphas, u_src, n_src)
         elif batch:
             for a in range(0, n, src.capacity):
                 src.take(min(src.capacity, n - a))
@@ -402,8 +385,7 @@ def rng_bench(dist: BenchDist, mode: BenchMode, n: int, seed: int = 0) -> RngBen
     pool = (u_src, n_src) if batch else ()
     generated = sum(b.generated for b in pool)
     waste = (generated - sum(b.consumed for b in pool)) / generated if generated else 0.0
-    samples = n * _BENCH_DIRICHLET_K if dist is BenchDist.DIRICHLET else n
-    cps = wall * perf.REFERENCE_CLOCK_GHZ * 1e9 / samples
+    cps = wall * perf.REFERENCE_CLOCK_GHZ * 1e9 / n
     return RngBenchRecord(dist.value, mode.value, n, cps, waste)
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .glm import (DesignMatrix, GlmWorkspace, _coord_slope, commit_update, diff_loglike,
                   loglike_grad)
-from .rng import BufferKind, DeviateBuffer
+from .rng import BufferKind, DeviateBuffer, _check_uniform_buffer
 
 __all__ = [
     "GaussianPrior", "ChainConfig", "ChainOutput", "SliceStats",
@@ -291,8 +291,7 @@ def slice_sample_coord(ws: GlmWorkspace, prior: GaussianPrior, k: int, rng: Devi
     and L is stored again after the commit if the draw was last evaluated.
     Raises TypeError, reading no deviate, unless `rng` is a UNIFORM01 buffer.
     """
-    if rng.kind is not BufferKind.UNIFORM01:
-        raise TypeError(f"rng must be a UNIFORM01 buffer, got {rng.kind}")
+    _check_uniform_buffer(rng, "rng")
     stats = stats if stats is not None else SliceStats()
     x0 = float(ws.beta_current[k])
     moves = slice_moves(x0, k, rng, cfg, _posterior_slope(ws, prior, k))
@@ -330,8 +329,8 @@ def run_chain(data: DesignMatrix, prior: GaussianPrior, cfg: ChainConfig,
 
     The chain starts at the prior mean.  `rng` overrides the default
     cfg.seed-keyed uniform buffer (used to splice a chain into an
-    externally managed stream, e.g. a hierarchical per-group stream); a
-    buffer of another kind raises TypeError before any deviate is read.
+    externally managed stream, e.g. a hierarchical per-group stream);
+    anything but a UNIFORM01 buffer raises TypeError before any deviate is read.
     With debug=True, every 100 iterations the workspace is recomputed and
     checked to 1e-8 per element, and each coordinate's slope against
     `loglike_grad` to 1e-8 relative; after every iteration the stored L at

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import re
 import textwrap
 import tracemalloc
 
@@ -515,6 +516,15 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         ExecPlan(n_chunks=0)
 
+
+
+@pytest.mark.parametrize("field", ["workers", "n_chunks"])
+def test_plan_counts_must_be_integers(field):
+    # a bool or a float must raise at construction, not run or fail deep inside
+    for bad in (True, np.True_, 1.5, 2.0, np.float64(2.0)):
+        with pytest.raises(TypeError, match=re.escape(f"{field} must be an integer, got {bad!r}")):
+            ExecPlan(**{field: bad})
+    assert getattr(ExecPlan(**{field: np.int64(2)}), field) == 2
 
 def test_plan_rejects_a_strategy_name():
     # a plain string must raise, not fall through to the PLF path

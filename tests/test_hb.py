@@ -1,3 +1,4 @@
+import re
 import threading
 import tracemalloc
 
@@ -57,6 +58,15 @@ def test_policy_validation():
         with pytest.raises(ValueError, match=f"neval must be >= 1, got {bad}"):
             MappingPolicy(MappingMode.FINE, neval=bad)
 
+
+
+@pytest.mark.parametrize("field", ["workers", "neval"])
+def test_policy_counts_must_be_integers(field):
+    # workers=1.5 used to run a sweep without a word; neval=2.5 failed inside range()
+    for bad in (True, np.True_, 1.5, 2.0, np.float64(2.0)):
+        with pytest.raises(TypeError, match=re.escape(f"{field} must be an integer, got {bad!r}")):
+            MappingPolicy(MappingMode.COARSE, **{field: bad})
+    assert getattr(MappingPolicy(MappingMode.FINE, **{field: np.int64(2)}), field) == 2
 
 def test_policy_rejects_a_mode_name():
     # a plain string must raise, not fall through to the FINE path

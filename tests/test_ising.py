@@ -566,6 +566,16 @@ def test_gibbs_sweep_refuses_a_normal_buffer():
     np.testing.assert_array_equal(lat.s, before)
 
 
+
+def test_gibbs_sweep_refuses_a_source_that_is_no_uniform_buffer(refused_source):
+    src, untouched = refused_source
+    lat = IsingLattice.from_image(synthetic_binary_image(64, 64), w=1.0, bias_scale=2.0)
+    before = lat.s.copy()
+    with pytest.raises(TypeError, match="rng_buffer must be a UNIFORM01 buffer"):
+        gibbs_sweep(lat, src)
+    assert untouched()
+    np.testing.assert_array_equal(lat.s, before)
+
 def test_denoise_rejects_bad_input():
     with pytest.raises(ValueError):
         denoise(np.empty((0, 0)))

@@ -9,8 +9,7 @@ from scipy import stats
 from parmcmc import parallel
 from parmcmc.rng import (BenchDist, BenchMode, BufferKind, DeviateBuffer,
                          GammaParams, OneAtATimeNormal, OneAtATimeUniform,
-                         dirichlet_sample, gamma_sample, rng_bench,
-                         write_rng_bench_csv)
+                         gamma_sample, rng_bench, write_rng_bench_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -284,43 +283,28 @@ def test_gamma_buffered_vs_one_at_a_time_identical():
     assert buffered == one
 
 
+
+@pytest.mark.parametrize("alpha, first, used", [
+    (0.7, [0.2532018349962218, 0.05452688731868343, 1.1357034709460518, 0.40243179887991326,
+           0.40357391945891274, 0.21146017742704987, 0.511917232939252, 1.121439740328652],
+     (17, 9)),
+    (2.0, [0.7753594960067453, 0.17069445021134402, 1.9293825965401972, 2.590965863555011,
+           0.7458425133953992, 0.7525700976558496, 8.285214996734977, 3.6652748316568085],
+     (9, 9)),
+])
+def test_gamma_first_draws_are_pinned(alpha, first, used):
+    # exact values on fixed seeds, for the boost path (alpha < 1) and the direct
+    # one: any change to the operations or their order changes these bits
+    u = DeviateBuffer(BufferKind.UNIFORM01, seed=31, owner=(0,))
+    n = DeviateBuffer(BufferKind.STD_NORMAL, seed=31, owner=(1,))
+    assert [gamma_sample(GammaParams(alpha, 1.3), u, n) for _ in range(8)] == first
+    assert (u.consumed, n.consumed) == used
+
 def test_gamma_params_validation():
     with pytest.raises(ValueError):
         GammaParams(0.0, 1.0)
     with pytest.raises(ValueError):
         GammaParams(1.0, -2.0)
-
-
-def test_dirichlet_k1_is_always_one():
-    u = DeviateBuffer(BufferKind.UNIFORM01, seed=1, owner=(0,))
-    n = DeviateBuffer(BufferKind.STD_NORMAL, seed=1, owner=(1,))
-    for _ in range(50):
-        np.testing.assert_array_equal(dirichlet_sample([2.5], u, n), [1.0])
-
-
-def test_dirichlet_symmetric_means():
-    u = DeviateBuffer(BufferKind.UNIFORM01, seed=2, owner=(0,))
-    n = DeviateBuffer(BufferKind.STD_NORMAL, seed=2, owner=(1,))
-    draws = np.array([dirichlet_sample([1.0, 1.0, 1.0], u, n) for _ in range(100_000)])
-    np.testing.assert_allclose(draws.mean(axis=0), [1 / 3] * 3, rtol=0.01)
-
-
-def test_dirichlet_asymmetric_means_and_simplex():
-    u = DeviateBuffer(BufferKind.UNIFORM01, seed=3, owner=(0,))
-    n = DeviateBuffer(BufferKind.STD_NORMAL, seed=3, owner=(1,))
-    draws = np.array([dirichlet_sample([2.0, 3.0, 5.0], u, n) for _ in range(100_000)])
-    np.testing.assert_allclose(draws.mean(axis=0), [0.2, 0.3, 0.5], rtol=0.01)
-    assert np.max(np.abs(draws.sum(axis=1) - 1.0)) <= 1e-12
-    assert (draws >= 0).all()
-
-
-def test_dirichlet_validation():
-    u = DeviateBuffer(BufferKind.UNIFORM01, seed=1)
-    n = DeviateBuffer(BufferKind.STD_NORMAL, seed=1)
-    with pytest.raises(ValueError):
-        dirichlet_sample([], u, n)
-    with pytest.raises(ValueError):
-        dirichlet_sample([1.0, -1.0], u, n)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +342,7 @@ def test_bench_rejects_bad_n():
 
 
 def test_bench_rejects_dist_and_mode_names():
-    # plain strings must raise, not fall through to the Dirichlet or one-at-a-time path
+    # plain strings must raise, not fall through to the normal or one-at-a-time path
     with pytest.raises(TypeError, match="dist must be a BenchDist, got 'uniform'"):
         rng_bench("uniform", BenchMode.BATCH, 10)
     with pytest.raises(TypeError, match="mode must be a BenchMode, got 'batch'"):

@@ -357,6 +357,21 @@ def test_samplers_refuse_a_normal_buffer():
     np.testing.assert_array_equal(ws.beta_current, prior.mu)
 
 
+
+def test_samplers_refuse_a_source_that_is_no_uniform_buffer(refused_source):
+    # a per-call source or a numpy Generator has no buffer kind to check, so
+    # it must raise TypeError, not AttributeError, before any deviate is read
+    src, untouched = refused_source
+    data, _, prior = small_problem(n=50, k=2)
+    cfg = ChainConfig(n_iter=2, n_burnin=0)
+    ws = GlmWorkspace(data, prior.mu)
+    with pytest.raises(TypeError, match="rng must be a UNIFORM01 buffer"):
+        slice_sample_coord(ws, prior, 0, src, cfg)
+    with pytest.raises(TypeError, match="rng must be a UNIFORM01 buffer"):
+        run_chain(data, prior, cfg, rng=src)
+    assert untouched()
+    np.testing.assert_array_equal(ws.beta_current, prior.mu)
+
 def test_chain_debug_mode_validates_workspace():
     data, _, prior = small_problem(n=150, k=3, seed=10)
     out = run_chain(data, prior, ChainConfig(n_iter=120, n_burnin=0, seed=2), debug=True)
